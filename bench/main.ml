@@ -483,6 +483,42 @@ let copy_64 () =
   let kpages = Uvm.copy_to_kernel loan_sys loan_vm ~vpn:loan_vpn ~npages:64 in
   Uvm.copy_finish loan_sys kpages
 
+(* Per-layer: one pagedaemon pass under steady paging pressure.  Each run
+   writes the next 16 pages of a region a quarter larger than RAM, which
+   leaves the machine about 16 frames short of its free target, then runs
+   one pass.  The pass examines about as many pages at 1 024 frames as at
+   16 384, so its cost should follow the pages it examines, not the RAM
+   size. *)
+let pdaemon_pass (type s)
+    (module V : Vmiface.Vm_sig.VM_SYS with type sys = s) ~(pass : s -> unit)
+    ~frames =
+  let config =
+    {
+      Vmiface.Machine.default_config with
+      ram_pages = frames;
+      swap_pages = 2 * frames;
+    }
+  in
+  let sys = V.boot ~config () in
+  let vm = V.new_vmspace sys in
+  let npages = frames + (frames / 4) in
+  let vpn = V.mmap sys vm ~npages ~prot:Pmap.Prot.rw ~share:Private Zero in
+  V.access_range sys vm ~vpn ~npages Write;
+  let next = ref 0 in
+  fun () ->
+    for _ = 1 to 16 do
+      V.touch sys vm ~vpn:(vpn + !next) Write;
+      next := (!next + 1) mod npages
+    done;
+    pass sys
+
+let uvm_pass =
+  pdaemon_pass (module Uvm.Sys) ~pass:(fun s -> Uvm.Pdaemon.run s.Uvm.Sys.usys)
+
+let bsd_pass =
+  pdaemon_pass (module Bsdvm.Sys) ~pass:(fun s ->
+      Bsdvm.Pageout.run s.Bsdvm.Sys.bsys)
+
 let bechamel_tests =
   let open Bechamel in
   Test.make_grouped ~name:"uvm-repro"
@@ -520,6 +556,13 @@ let bechamel_tests =
         [
           Test.make ~name:"uvm" (Staged.stage US.fork_cycle);
           Test.make ~name:"bsd" (Staged.stage BS.fork_cycle);
+        ];
+      Test.make_grouped ~name:"pdaemon.pass"
+        [
+          Test.make ~name:"uvm-1024f" (Staged.stage (uvm_pass ~frames:1024));
+          Test.make ~name:"uvm-16384f" (Staged.stage (uvm_pass ~frames:16384));
+          Test.make ~name:"bsd-1024f" (Staged.stage (bsd_pass ~frames:1024));
+          Test.make ~name:"bsd-16384f" (Staged.stage (bsd_pass ~frames:16384));
         ];
       Test.make_grouped ~name:"sec7.datamove-64p"
         [

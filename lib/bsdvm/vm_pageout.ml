@@ -120,8 +120,11 @@ let run sys =
   let target = Physmem.freetarg physmem in
   let t0 = Sim.Simclock.now (Bsd_sys.clock sys) in
   let free0 = Physmem.free_count physmem in
+  (* Once the quota is met the scan changes nothing, so the walk stops
+     there: its cost is the pages it examines, not the queue length. *)
+  let short () = Physmem.free_count physmem < target in
   let scan (page : Physmem.Page.t) =
-    if Physmem.free_count physmem < target then
+    (if short () then
       if page.busy || page.wire_count > 0 || page.loan_count > 0 then ()
       else if page.referenced then Physmem.activate physmem page
       else
@@ -150,16 +153,16 @@ let run sys =
                  active queue so the inactive queue's depth keeps meaning
                  "reclaimable" to the deactivation heuristic. *)
               Physmem.activate physmem page
-        | _ -> assert false
+        | _ -> assert false);
+    short ()
   in
-  List.iter scan (Physmem.inactive_pages physmem);
+  Physmem.walk_inactive physmem scan;
   if Physmem.free_count physmem < target then begin
     let need =
       2 * (target - Physmem.free_count physmem) - Physmem.inactive_count physmem
     in
     let moved = ref 0 in
-    List.iter
-      (fun (page : Physmem.Page.t) ->
+    Physmem.walk_active physmem (fun (page : Physmem.Page.t) ->
         if
           !moved < need && (not page.busy) && page.wire_count = 0
           && page.loan_count = 0
@@ -170,8 +173,8 @@ let run sys =
             Physmem.deactivate physmem page;
             incr moved
           end
-        end)
-      (Physmem.active_pages physmem)
+        end;
+        !moved < need)
   end;
   Bsd_sys.span_finish sys scan_span
     ~detail:

@@ -117,16 +117,27 @@ let check_physmem ~system pm =
                (queue_name kind) (queue_name p.queue)))
       pages
   in
-  walk Physmem.Page.Q_free (Physmem.free_pages pm);
-  walk Physmem.Page.Q_active (Physmem.active_pages pm);
-  walk Physmem.Page.Q_inactive (Physmem.inactive_pages pm);
+  let queues =
+    [
+      (Physmem.Page.Q_free, Physmem.free_pages pm, Physmem.free_count pm);
+      (Physmem.Page.Q_active, Physmem.active_pages pm, Physmem.active_count pm);
+      ( Physmem.Page.Q_inactive,
+        Physmem.inactive_pages pm,
+        Physmem.inactive_count pm );
+    ]
+  in
+  List.iter (fun (kind, pages, _) -> walk kind pages) queues;
   (* Accounting: free + active + inactive + unqueued = total, with the
-     counter caches agreeing with the rings. *)
-  let nfree = List.length (Physmem.free_pages pm) in
-  if Physmem.free_count pm <> nfree then
-    fail "free_count"
-      (Printf.sprintf "free_count=%d but free list holds %d"
-         (Physmem.free_count pm) nfree);
+     running counts agreeing with the rings. *)
+  List.iter
+    (fun (kind, pages, counted) ->
+      let held = List.length pages in
+      if counted <> held then
+        let name = queue_name kind in
+        fail (name ^ "_count")
+          (Printf.sprintf "%s_count=%d but %s list holds %d" name counted name
+             held))
+    queues;
   let queued = Hashtbl.length seen in
   let unqueued = ref 0 in
   Physmem.iter_pages

@@ -52,7 +52,8 @@ val check_ledger : system:string -> Physmem.t -> unit
 val check_physmem : system:string -> Physmem.t -> unit
 (** Whole-RAM audit: every frame is on exactly the queue its [queue] field
     claims (no frame on two queues, none missing), queue counts add up to
-    the total frame count, the free-page counter matches the free list,
+    the total frame count, the free, active and inactive running counts
+    match their rings,
     free frames carry no owner/dirt/wiring, and an unqueued frame is
     accounted for by wiring, business, or an owner-dropped loan. *)
 

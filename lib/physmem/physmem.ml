@@ -52,6 +52,10 @@ type lentry = {
 
 let lookup_slots = 4096
 
+(* An ordered queue walk in progress: pages of [w_queue] stamped in
+   (w_at, w_hi] are still to be visited. *)
+type walk = { w_queue : Page.queue; mutable w_at : int; w_hi : int }
+
 type t = {
   page_size : int;
   total_pages : int;
@@ -69,6 +73,9 @@ type t = {
   pages : Page.t array;  (** every frame, indexed by frame number *)
   mutable free_count : int;  (** free frames: colored queues + CPU caches *)
   mutable qfree : int;  (** free frames on the colored queues only *)
+  mutable nactive : int;  (** frames on the active rings *)
+  mutable ninactive : int;  (** frames on the inactive rings *)
+  mutable walks : walk list;  (** ordered walks in progress, innermost first *)
   freemin : int;
   freetarg : int;
   reserve : int;  (** frames only privileged (daemon/drain) allocs may take *)
@@ -205,6 +212,9 @@ let create ?(page_size = 4096) ?lifecycle ?(ncpus = 1) ~npages ~clock ~costs
       pages;
       free_count = 0;
       qfree = 0;
+      nactive = 0;
+      ninactive = 0;
+      walks = [];
       freemin = max 8 (npages / 32);
       freetarg = max 16 (npages / 16);
       reserve = max 4 (npages / 64);
@@ -244,12 +254,8 @@ let total_pages t = t.total_pages
 let ncpus t = t.ncpus
 let free_count t = t.free_count
 let queue_free_count t = t.qfree
-
-let sum_rings arr =
-  Array.fold_left (fun n dl -> n + Sim.Dlist.length dl) 0 arr
-
-let active_count t = sum_rings t.active
-let inactive_count t = sum_rings t.inactive
+let active_count t = t.nactive
+let inactive_count t = t.ninactive
 let freemin t = t.freemin
 let freetarg t = t.freetarg
 let reserve t = t.reserve
@@ -306,18 +312,45 @@ let queue_unlock t ~color =
   | Some (ls, lk) -> Sim.Lockstat.release ls lk.(color)
   | None -> ()
 
+(* Keep the running queue counts in step with a page joining ([d = 1])
+   or leaving ([d = -1]) a ring of [kind]. *)
+let count t kind d =
+  match kind with
+  | Page.Q_free ->
+      t.free_count <- t.free_count + d;
+      t.qfree <- t.qfree + d
+  | Page.Q_active -> t.nactive <- t.nactive + d
+  | Page.Q_inactive -> t.ninactive <- t.ninactive + d
+  | Page.Q_none -> ()
+
+(* A page leaving its ring before an ordered walk over that queue has
+   reached it would drop out of the walk unseen — the walk would no
+   longer visit what a snapshot taken at its start holds.  That is a
+   caller bug, so it fails loudly instead. *)
+let check_walks t (page : Page.t) =
+  List.iter
+    (fun w ->
+      if
+        w.w_queue = page.Page.queue
+        && page.Page.q_seq > w.w_at
+        && page.Page.q_seq <= w.w_hi
+      then
+        failwith
+          (Printf.sprintf
+             "Physmem.walk: page %d left its queue before the walk reached it"
+             page.Page.id))
+    t.walks
+
 (* Unlink [page] from whatever queue it is on.  Pages held by a per-CPU
    cache are never unlinked: they are off every ring ([node = None]) and
    only leave the cache through the allocator or a drain. *)
 let unlink t (page : Page.t) =
+  check_walks t page;
   queue_lock t ~color:page.Page.color;
   (match (ring_of t page.queue page.Page.color, page.node) with
   | Some q, Some node ->
       Sim.Dlist.remove q node;
-      if page.queue = Page.Q_free then begin
-        t.free_count <- t.free_count - 1;
-        t.qfree <- t.qfree - 1
-      end;
+      count t page.queue (-1);
       page.node <- None;
       page.queue <- Page.Q_none
   | None, _ -> ()
@@ -334,10 +367,7 @@ let enqueue t (page : Page.t) kind =
       page.Page.q_seq <- t.seq;
       page.Page.node <- Some (Sim.Dlist.push_tail q page);
       page.Page.queue <- kind;
-      if kind = Page.Q_free then begin
-        t.free_count <- t.free_count + 1;
-        t.qfree <- t.qfree + 1
-      end);
+      count t kind 1);
   queue_unlock t ~color:page.Page.color
 
 (* ---- Per-CPU free caches -------------------------------------------- *)
@@ -683,18 +713,56 @@ let dequeue t page =
   lstep t page ~op:"dequeue" Page.L_detached;
   unlink t page
 
-(* Snapshots merge the color rings back into one list ordered by enqueue
-   stamp, so queue scans (pagedaemon LRU, audits) see exactly the order
-   a single global ring would have produced. *)
-let merge_rings arr =
-  Array.fold_left
-    (fun acc dl -> List.rev_append (Sim.Dlist.to_list dl) acc)
-    [] arr
-  |> List.sort (fun (a : Page.t) (b : Page.t) ->
-         compare a.Page.q_seq b.Page.q_seq)
+(* The one ordered traversal of a colored queue.  Every ring is in
+   enqueue-stamp order, so merging the ring heads by stamp visits pages in
+   exactly the order a single global ring would hold them.  The walk
+   visits only pages stamped before it began — the set a snapshot taken
+   at that moment would hold — and stops as soon as [f] returns false, so
+   a scan costs what it examines, not the queue length.  [f] may requeue
+   or free the page it is handed (its successor is read first); any other
+   page of the queue that leaves before the walk reaches it makes
+   [unlink] raise (see [check_walks]). *)
+let walk_rings t rings kind f =
+  let w = { w_queue = kind; w_at = 0; w_hi = t.seq } in
+  let cursor = Array.map Sim.Dlist.head_node rings in
+  let rec step () =
+    let best = ref (-1) in
+    let best_seq = ref max_int in
+    for c = 0 to ncolors - 1 do
+      match cursor.(c) with
+      | Some node ->
+          let s = (Sim.Dlist.value node).Page.q_seq in
+          if s <= w.w_hi && s < !best_seq then begin
+            best := c;
+            best_seq := s
+          end
+      | None -> ()
+    done;
+    if !best >= 0 then
+      match cursor.(!best) with
+      | Some node ->
+          cursor.(!best) <- Sim.Dlist.next_node node;
+          w.w_at <- !best_seq;
+          if f (Sim.Dlist.value node) then step ()
+      | None -> assert false
+  in
+  t.walks <- w :: t.walks;
+  Fun.protect
+    ~finally:(fun () -> t.walks <- List.filter (fun x -> x != w) t.walks)
+    step
 
-let inactive_pages t = merge_rings t.inactive
-let active_pages t = merge_rings t.active
+let walk_inactive t f = walk_rings t t.inactive Page.Q_inactive f
+let walk_active t f = walk_rings t t.active Page.Q_active f
+
+let collect t rings kind =
+  let acc = ref [] in
+  walk_rings t rings kind (fun p ->
+      acc := p :: !acc;
+      true);
+  List.rev !acc
+
+let inactive_pages t = collect t t.inactive Page.Q_inactive
+let active_pages t = collect t t.active Page.Q_active
 
 (* Cached pages are free pages: the snapshot appends them after the
    queued ones so [free_count = |free_pages|] and the ledger/queue
@@ -708,7 +776,7 @@ let free_pages t =
           acc cache.cc_pages)
       [] t.caches
   in
-  merge_rings t.free @ cached
+  collect t t.free Page.Q_free @ cached
 
 let free_pages_of_color t color =
   if color < 0 || color >= ncolors then

@@ -8,8 +8,8 @@
 
     Under simulated SMP (DESIGN.md §16) the queues are sharded
     DragonFly-style: each queue is {!ncolors} rings indexed by page color
-    ([frame mod ncolors]), every enqueue carries a global stamp so merged
-    snapshots preserve the single-ring FIFO/LRU order, and machines booted
+    ([frame mod ncolors]), every enqueue carries a global stamp so ordered
+    walks preserve the single-ring FIFO/LRU order, and machines booted
     with [ncpus > 1] get per-CPU free-page caches refilled in batches from
     (and drained back to) the colored queues.  A lockless (generation
     checked) page-lookup fast path lives in {!Lookup}. *)
@@ -65,6 +65,9 @@ val queue_free_count : t -> int
     never refilled below {!reserve}. *)
 
 val active_count : t -> int
+(** Frames on the active queue.  O(1): a running count kept by every
+    enqueue and unlink, which the auditor cross-checks against the rings. *)
+
 val inactive_count : t -> int
 
 val set_current_cpu : t -> int -> unit
@@ -152,10 +155,24 @@ val deactivate : t -> Page.t -> unit
 val dequeue : t -> Page.t -> unit
 (** Remove a page from any paging queue (used when wiring or starting I/O). *)
 
+val walk_inactive : t -> (Page.t -> bool) -> unit
+(** [walk_inactive t f] applies [f] to the inactive queue's pages, LRU
+    first (pagedaemon scan order), until [f] returns [false].  The color
+    rings are merged by enqueue stamp, and only pages queued before the
+    walk began are visited, so a full walk sees exactly a snapshot taken
+    at its start.  [f] may activate, deactivate, dequeue or free the page
+    it is given.
+    @raise Failure if any other page of the queue leaves it before the
+    walk has visited it: the walk would silently miss that page. *)
+
+val walk_active : t -> (Page.t -> bool) -> unit
+(** {!walk_inactive} over the active queue. *)
+
 val inactive_pages : t -> Page.t list
-(** Snapshot of the inactive queue, LRU first (pagedaemon scan order). *)
+(** Snapshot of the inactive queue, LRU first: a full {!walk_inactive}. *)
 
 val active_pages : t -> Page.t list
+(** Snapshot of the active queue: a full {!walk_active}. *)
 
 val free_pages : t -> Page.t list
 (** Snapshot of the free list (invariant auditing): the colored queues

@@ -171,12 +171,16 @@ let run sys =
   let t0 = Sim.Simclock.now (Uvm_sys.clock sys) in
   let free0 = Physmem.free_count physmem in
   let anon_batch = ref [] in
+  let anon_batched = ref 0 in
   let obj_batches : (int, Uvm_object.t * Physmem.Page.t list) Hashtbl.t =
     Hashtbl.create 8
   in
   let batched = ref 0 in
+  (* Once the quota is met the scan changes nothing, so the walk stops
+     there: its cost is the pages it examines, not the queue length. *)
+  let short () = Physmem.free_count physmem + !batched < target in
   let scan (page : Physmem.Page.t) =
-    if Physmem.free_count physmem + !batched < target then
+    (if short () then
       if page.busy || page.wire_count > 0 || page.loan_count > 0 then ()
       else if page.referenced then
         (* Second chance: recently used, give it another lap. *)
@@ -186,15 +190,17 @@ let run sys =
         | Uvm_anon.Anon_page anon ->
             if page.dirty || anon.Uvm_anon.swslot = 0 then begin
               anon_batch := (anon, page) :: !anon_batch;
+              incr anon_batched;
               incr batched;
               page.dirty <- true;
-              if List.length !anon_batch >= sys.Uvm_sys.pageout_cluster then begin
+              if !anon_batched >= sys.Uvm_sys.pageout_cluster then begin
                 (* Pages that failed to clean (swap full, bad media) no
                    longer count toward the quota: keep scanning for clean
                    pages to reclaim instead. *)
                 let stuck = flush_anon_batch sys (List.rev !anon_batch) in
                 batched := !batched - stuck;
-                anon_batch := []
+                anon_batch := [];
+                anon_batched := 0
               end
             end
             else reclaim sys page
@@ -216,9 +222,10 @@ let run sys =
             end
         | _ ->
             (* Unowned pages on the inactive queue should not happen. *)
-            assert false
+            assert false);
+    short ()
   in
-  List.iter scan (Physmem.inactive_pages physmem);
+  Physmem.walk_inactive physmem scan;
   ignore (flush_anon_batch sys (List.rev !anon_batch) : int);
   flush_object_batches sys obj_batches;
   (* Still short: migrate cold active pages to the inactive queue so the
@@ -230,8 +237,7 @@ let run sys =
       - Physmem.inactive_count physmem
     in
     let moved = ref 0 in
-    List.iter
-      (fun (page : Physmem.Page.t) ->
+    Physmem.walk_active physmem (fun (page : Physmem.Page.t) ->
         if
           !moved < need && (not page.busy) && page.wire_count = 0
           && page.loan_count = 0
@@ -242,8 +248,8 @@ let run sys =
             Physmem.deactivate physmem page;
             incr moved
           end
-        end)
-      (Physmem.active_pages physmem)
+        end;
+        !moved < need)
   end;
   Uvm_sys.span_finish sys scan_span
     ~detail:

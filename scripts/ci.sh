@@ -19,6 +19,21 @@ fi
 
 dune runtest
 
+# Simulated-behaviour gate: each perfbench workload's digest of the final
+# simulated state (seed 1) must match the committed values.  A change
+# that means to alter simulated behaviour regenerates
+# scripts/perfbench_digests.txt with these same commands and says so.
+mkdir -p artifacts
+for w in fork-cow paging smp-observed; do
+  ./_build/default/perfbench/uvmbench.exe --workload "$w" --seed 1 \
+    --seconds 1 --trace 0 | grep '^digest '
+done > artifacts/perfbench_digests.txt
+diff -u scripts/perfbench_digests.txt artifacts/perfbench_digests.txt || {
+  echo 'ci: perfbench digests changed: simulated behaviour differs' >&2
+  exit 1
+}
+echo 'ci: perfbench digests unchanged'
+
 # Trace-export smoke test: a short experiment run must produce a valid
 # Chrome trace with fault and pagein events from both VM systems.
 trace=$(mktemp /tmp/uvm-trace.XXXXXX.json)

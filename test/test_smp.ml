@@ -105,6 +105,139 @@ let test_cache_stats_flow () =
   let v = List.nth (Physmem.cache_views pm) 2 in
   Alcotest.(check bool) "per-cpu hit view" true (v.Physmem.cw_hits > 0)
 
+(* -- ordered queue walks ------------------------------------------------- *)
+
+(* 48 pages allocated on rotating CPUs, so the per-CPU caches hand out
+   frames of many colors, then queued in an order frame numbers do not
+   predict: all activated, most deactivated in reverse, some reactivated,
+   some deactivated again. *)
+let walk_machine () =
+  let pm, _ = mk ~npages:128 ~ncpus:4 () in
+  let pages =
+    List.init 48 (fun i ->
+        Physmem.set_current_cpu pm (i mod 4);
+        Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:i ())
+  in
+  List.iter (Physmem.activate pm) pages;
+  List.iteri
+    (fun i p -> if i mod 3 <> 1 then Physmem.deactivate pm p)
+    (List.rev pages);
+  List.iteri (fun i p -> if i mod 5 = 0 then Physmem.activate pm p) pages;
+  List.iteri (fun i p -> if i mod 7 = 0 then Physmem.deactivate pm p) pages;
+  pm
+
+(* The reference order: every frame tagged with [kind], sorted by enqueue
+   stamp — what a sorted snapshot of the rings holds. *)
+let sorted_by_stamp pm kind =
+  let acc = ref [] in
+  Physmem.iter_pages
+    (fun (p : Physmem.Page.t) ->
+      if p.Physmem.Page.queue = kind then acc := p :: !acc)
+    pm;
+  List.sort
+    (fun (a : Physmem.Page.t) (b : Physmem.Page.t) ->
+      compare a.Physmem.Page.q_seq b.Physmem.Page.q_seq)
+    !acc
+
+let ids = List.map (fun (p : Physmem.Page.t) -> p.Physmem.Page.id)
+
+let test_walk_in_stamp_order () =
+  let pm = walk_machine () in
+  List.iter
+    (fun (name, kind, walk, snapshot) ->
+      let want = sorted_by_stamp pm kind in
+      let colors =
+        List.sort_uniq compare
+          (List.map (fun (p : Physmem.Page.t) -> p.Physmem.Page.color) want)
+      in
+      Alcotest.(check bool)
+        (name ^ " spans several colors") true
+        (List.length colors >= 4);
+      Alcotest.(check bool)
+        (name ^ " is not in frame order") true
+        (ids want <> List.sort compare (ids want));
+      let got = ref [] in
+      walk pm (fun (p : Physmem.Page.t) ->
+          got := p.Physmem.Page.id :: !got;
+          true);
+      Alcotest.(check (list int)) (name ^ " walk") (ids want) (List.rev !got);
+      Alcotest.(check (list int))
+        (name ^ " snapshot") (ids want)
+        (ids (snapshot pm)))
+    [
+      ( "inactive",
+        Physmem.Page.Q_inactive,
+        Physmem.walk_inactive,
+        Physmem.inactive_pages );
+      ("active", Physmem.Page.Q_active, Physmem.walk_active, Physmem.active_pages);
+    ]
+
+let test_walk_stops () =
+  let pm = walk_machine () in
+  let want = ids (sorted_by_stamp pm Physmem.Page.Q_inactive) in
+  let got = ref [] in
+  Physmem.walk_inactive pm (fun (p : Physmem.Page.t) ->
+      got := p.Physmem.Page.id :: !got;
+      List.length !got < 5);
+  Alcotest.(check (list int))
+    "the first five, then stop"
+    (List.filteri (fun i _ -> i < 5) want)
+    (List.rev !got)
+
+let test_walk_skips_late_enqueue () =
+  let pm = walk_machine () in
+  let want = ids (sorted_by_stamp pm Physmem.Page.Q_inactive) in
+  let late = List.hd (sorted_by_stamp pm Physmem.Page.Q_active) in
+  let got = ref [] in
+  Physmem.walk_inactive pm (fun (p : Physmem.Page.t) ->
+      if !got = [] then Physmem.deactivate pm late;
+      got := p.Physmem.Page.id :: !got;
+      true);
+  Alcotest.(check bool) "late page joined the queue" true
+    (late.Physmem.Page.queue = Physmem.Page.Q_inactive);
+  Alcotest.(check (list int)) "late page not visited" want (List.rev !got)
+
+let test_walk_callback_moves_current () =
+  let pm = walk_machine () in
+  let want = ids (sorted_by_stamp pm Physmem.Page.Q_inactive) in
+  let got = ref [] in
+  Physmem.walk_inactive pm (fun (p : Physmem.Page.t) ->
+      (match List.length !got mod 3 with
+      | 0 -> Physmem.activate pm p
+      | 1 -> Physmem.deactivate pm p
+      | _ -> Physmem.free_page pm p);
+      got := p.Physmem.Page.id :: !got;
+      true);
+  Alcotest.(check (list int)) "each page visited once" want (List.rev !got);
+  Alcotest.(check int) "requeued pages stay inactive"
+    ((List.length want + 1) / 3)
+    (Physmem.inactive_count pm);
+  Check.check_ledger ~system:"TEST" pm;
+  Check.check_physmem ~system:"TEST" pm;
+  Check.check_smp ~system:"TEST" pm
+
+let test_walk_raises_on_unvisited_unlink () =
+  (* Pages already visited may leave freely. *)
+  let pm = walk_machine () in
+  let prev = ref None in
+  Physmem.walk_inactive pm (fun p ->
+      Option.iter (Physmem.activate pm) !prev;
+      prev := Some p;
+      true);
+  Alcotest.(check int) "all but the last visited page left" 1
+    (Physmem.inactive_count pm);
+  (* A page not yet visited may not. *)
+  let pm = walk_machine () in
+  let pages = sorted_by_stamp pm Physmem.Page.Q_inactive in
+  let last = List.nth pages (List.length pages - 1) in
+  (match Physmem.walk_inactive pm (fun _ -> Physmem.activate pm last; true) with
+  | () -> Alcotest.fail "unlinking an unvisited page did not raise"
+  | exception Failure _ -> ());
+  (* The failed walk leaves no guard behind. *)
+  Physmem.activate pm last;
+  Alcotest.(check bool) "activated after the walk" true
+    (last.Physmem.Page.queue = Physmem.Page.Q_active)
+
 (* -- the scheduler's determinism contract -------------------------------- *)
 
 (* Two identical task sets must interleave identically: same per-CPU
@@ -219,6 +352,18 @@ let () =
           Alcotest.test_case "refill never digs into the reserve" `Quick
             test_refill_respects_reserve;
           Alcotest.test_case "cache stats flow" `Quick test_cache_stats_flow;
+        ] );
+      ( "walk",
+        [
+          Alcotest.test_case "merged rings in stamp order" `Quick
+            test_walk_in_stamp_order;
+          Alcotest.test_case "false stops the walk" `Quick test_walk_stops;
+          Alcotest.test_case "pages queued mid-walk are not visited" `Quick
+            test_walk_skips_late_enqueue;
+          Alcotest.test_case "callback may requeue or free its page" `Quick
+            test_walk_callback_moves_current;
+          Alcotest.test_case "unlinking an unvisited page raises" `Quick
+            test_walk_raises_on_unvisited_unlink;
         ] );
       ( "scheduler",
         [

@@ -23,6 +23,19 @@ let test_file_byte_deterministic () =
        (fun off -> Vfs.file_byte ~name:"/a" ~off <> Vfs.file_byte ~name:"/b" ~off)
        (List.init 64 Fun.id))
 
+(* A created file's contents are [file_byte] at every offset, including
+   past the first 256 bytes where the [off lsr 8] term starts mixing in. *)
+let test_create_matches_file_byte () =
+  let vfs, _, _ = mk ~max_vnodes:8 () in
+  List.iter
+    (fun (name, size) ->
+      let vn = Vfs.create_file vfs ~name ~size in
+      for off = 0 to size - 1 do
+        if Bytes.get vn.Vfs.Vnode.data off <> Vfs.file_byte ~name ~off then
+          Alcotest.failf "%s byte %d differs from file_byte" name off
+      done)
+    [ ("/a", 300); ("/bb", 1000); ("/dir/long-name", 4096); ("/z", 70_000) ]
+
 let test_create_lookup () =
   let vfs, _, _ = mk () in
   let vn = Vfs.create_file vfs ~name:"/x" ~size:1000 in
@@ -147,6 +160,8 @@ let () =
       ( "files",
         [
           Alcotest.test_case "deterministic bytes" `Quick test_file_byte_deterministic;
+          Alcotest.test_case "created bytes match file_byte" `Quick
+            test_create_matches_file_byte;
           Alcotest.test_case "create/lookup" `Quick test_create_lookup;
           Alcotest.test_case "read/write pages" `Quick test_read_write_pages;
         ] );
