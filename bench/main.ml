@@ -519,6 +519,41 @@ let bsd_pass =
   pdaemon_pass (module Bsdvm.Sys) ~pass:(fun s ->
       Bsdvm.Pageout.run s.Bsdvm.Sys.bsys)
 
+(* Per-layer: the trace exporters over one fixed, seeded traced machine.
+   A UVM machine with tracing on writes a region 1.5x its RAM twice
+   (faults, pageouts, pageins) and replays the "ls /" trace; each run
+   re-renders its whole history.  The machine boots on first use, after
+   the paper's experiments: booting consumes process-wide ids, and the
+   experiments above must see the same ids as before. *)
+let export_source =
+  lazy
+    (let config =
+       {
+         Vmiface.Machine.default_config with
+         ram_pages = 256;
+         swap_pages = 4096;
+         trace_buf = Some 16384;
+       }
+     in
+     let sys = Uvm.Sys.boot ~config () in
+     let vm = Uvm.Sys.new_vmspace sys in
+     let vpn =
+       Uvm.Sys.mmap sys vm ~npages:384 ~prot:Pmap.Prot.rw ~share:Private Zero
+     in
+     for _ = 1 to 2 do
+       Uvm.Sys.access_range sys vm ~vpn ~npages:384 Write
+     done;
+     let proc = US.P.spawn sys Oslayer.Programs.ls in
+     US.P.replay sys proc US.trace;
+     US.P.exit_proc sys proc;
+     (Uvm.Sys.machine sys).Vmiface.Machine.trace_source)
+
+let export_buf = Buffer.create (1 lsl 20)
+
+let export_run export () =
+  Buffer.clear export_buf;
+  export export_buf [ Lazy.force export_source ]
+
 let bechamel_tests =
   let open Bechamel in
   Test.make_grouped ~name:"uvm-repro"
@@ -564,6 +599,15 @@ let bechamel_tests =
           Test.make ~name:"bsd-1024f" (Staged.stage (bsd_pass ~frames:1024));
           Test.make ~name:"bsd-16384f" (Staged.stage (bsd_pass ~frames:16384));
         ];
+      Test.make_grouped ~name:"export"
+        [
+          Test.make ~name:"chrome_json"
+            (Staged.stage (export_run Sim.Trace_export.chrome_json));
+          Test.make ~name:"lockstat_json"
+            (Staged.stage
+               (export_run (fun buf srcs ->
+                    Sim.Trace_export.lockstat_json buf srcs)));
+        ];
       Test.make_grouped ~name:"sec7.datamove-64p"
         [
           Test.make ~name:"loan" (Staged.stage loan_64);
@@ -574,6 +618,7 @@ let bechamel_tests =
 let run_bechamel () =
   let open Bechamel in
   let open Toolkit in
+  ignore (Lazy.force export_source);
   Experiments.Report.title
     "Bechamel: wall-clock cost of the simulator itself (ns per run)";
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.2) ~kde:None () in

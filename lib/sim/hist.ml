@@ -34,7 +34,7 @@ type t = {
   rings : ring array;  (* indexed by subsystem *)
 }
 
-let subsys_index = function
+let subsystem_index = function
   | Fault -> 0
   | Map -> 1
   | Pdaemon -> 2
@@ -60,7 +60,7 @@ let set_enabled t b = t.on <- b
 
 let record t ~subsys ~ts ?(dur = 0.0) ?(detail = []) name =
   if t.on then begin
-    let r = t.rings.(subsys_index subsys) in
+    let r = t.rings.(subsystem_index subsys) in
     let seq = t.seq in
     t.seq <- seq + 1;
     let cap = Array.length r.buf in
@@ -70,22 +70,36 @@ let record t ~subsys ~ts ?(dur = 0.0) ?(detail = []) name =
     r.total <- r.total + 1
   end
 
-(* Oldest-first walk of one ring. *)
-let ring_events r =
+(* The [i]th oldest event of one ring. *)
+let ring_get r i =
   let cap = Array.length r.buf in
-  let first = (r.next - r.count + cap) mod cap in
-  List.init r.count (fun i -> r.buf.((first + i) mod cap))
+  r.buf.((r.next - r.count + cap + i) mod cap)
 
-let events_of t subsys = ring_events t.rings.(subsys_index subsys)
-
-let events t =
-  Array.to_list t.rings
-  |> List.concat_map ring_events
-  |> List.sort (fun a b ->
-         match compare a.ts b.ts with 0 -> compare a.seq b.seq | c -> c)
+let events_of t subsys =
+  let r = t.rings.(subsystem_index subsys) in
+  List.init r.count (ring_get r)
 
 let recorded t = Array.fold_left (fun acc r -> acc + r.total) 0 t.rings
 let retained t = Array.fold_left (fun acc r -> acc + r.count) 0 t.rings
+
+(* (ts, seq) is a total order, so one sort of all rings' events gives the
+   same stream whatever the algorithm. *)
+let events t =
+  let out = Array.make (retained t) dummy_event in
+  let k = ref 0 in
+  Array.iter
+    (fun r ->
+      for i = 0 to r.count - 1 do
+        out.(!k + i) <- ring_get r i
+      done;
+      k := !k + r.count)
+    t.rings;
+  Array.stable_sort
+    (fun a b ->
+      match Float.compare a.ts b.ts with 0 -> Int.compare a.seq b.seq | c -> c)
+    out;
+  Array.to_list out
+
 let dropped t = recorded t - retained t
 
 let clear t =

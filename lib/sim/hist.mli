@@ -17,6 +17,9 @@ val all_subsystems : subsystem list
 
 val subsystem_name : subsystem -> string
 
+val subsystem_index : subsystem -> int
+(** Position in {!all_subsystems}, from 0. *)
+
 type event = {
   seq : int;  (** global record order, breaks timestamp ties *)
   ts : float;  (** simulated microseconds at the event (span start) *)

@@ -503,19 +503,30 @@ let project t ~cls ~cpus ~seed =
                 Float.max 0.0 (ivs.(i + 1).iv_start -. ivs.(i).iv_start))
         in
         let rng = Rng.create ~seed in
-        let events = ref [] in
+        (* Events are stored from the back, so the array reads in reverse
+           generation order; the stable sort keeps that order among equal
+           arrival times. *)
+        let total = n * cpus in
+        let evs =
+          Array.make total
+            { e_arr = 0.0; e_dur = 0.0; e_mode = Write; e_inst = 0; e_cpu = 0 }
+        in
+        let next = ref total in
+        let push e =
+          decr next;
+          evs.(!next) <- e
+        in
         (* CPU 0 replays the recording verbatim. *)
         Array.iter
           (fun iv ->
-            events :=
+            push
               {
                 e_arr = iv.iv_start;
                 e_dur = iv.iv_dur;
                 e_mode = iv.iv_mode;
                 e_inst = iv.iv_inst;
                 e_cpu = 0;
-              }
-              :: !events)
+              })
           ivs;
         (* Every further CPU resamples the recorded arrival process and
            (instance, mode, duration) triples: the same workload shape,
@@ -527,53 +538,47 @@ let project t ~cls ~cpus ~seed =
           let arr = ref (ivs.(0).iv_start +. Rng.float rng (Float.max mean_gap 1.0)) in
           for _ = 1 to n do
             let src = ivs.(Rng.int rng n) in
-            events :=
+            push
               {
                 e_arr = !arr;
                 e_dur = src.iv_dur;
                 e_mode = src.iv_mode;
                 e_inst = src.iv_inst;
                 e_cpu = cpu;
-              }
-              :: !events;
+              };
             arr := !arr +. gaps.(Rng.int rng (Array.length gaps))
           done
         done;
-        let evs = List.sort (fun a b -> compare a.e_arr b.e_arr) !events in
+        Array.stable_sort (fun a b -> Float.compare a.e_arr b.e_arr) evs;
         (* Per-instance reader/writer replay. *)
-        let state = Hashtbl.create 16 in
+        let ninst = 1 + Array.fold_left (fun m iv -> max m iv.iv_inst) 0 ivs in
+        let write_until = Array.make ninst 0.0 in
+        let read_until = Array.make ninst 0.0 in
+        let last_cpu = Array.make ninst (-1) in
         let wait_total = ref 0.0 in
         let wait_max = ref 0.0 in
         let bounces = ref 0 in
         let busy = ref 0.0 in
         let t_lo = ref infinity in
         let t_hi = ref neg_infinity in
-        let nev = ref 0 in
-        List.iter
+        Array.iter
           (fun e ->
-            incr nev;
-            let write_until, read_until, last_cpu =
-              match Hashtbl.find_opt state e.e_inst with
-              | Some s -> s
-              | None ->
-                  let s = (ref 0.0, ref 0.0, ref (-1)) in
-                  Hashtbl.replace state e.e_inst s;
-                  s
-            in
+            let i = e.e_inst in
             let start =
               match e.e_mode with
-              | Read -> Float.max e.e_arr !write_until
-              | Write -> Float.max e.e_arr (Float.max !write_until !read_until)
+              | Read -> Float.max e.e_arr write_until.(i)
+              | Write ->
+                  Float.max e.e_arr (Float.max write_until.(i) read_until.(i))
             in
             let fin = start +. e.e_dur in
             (match e.e_mode with
-            | Read -> read_until := Float.max !read_until fin
-            | Write -> write_until := fin);
+            | Read -> read_until.(i) <- Float.max read_until.(i) fin
+            | Write -> write_until.(i) <- fin);
             let wait = start -. e.e_arr in
             wait_total := !wait_total +. wait;
             if wait > !wait_max then wait_max := wait;
-            if !last_cpu >= 0 && !last_cpu <> e.e_cpu then incr bounces;
-            last_cpu := e.e_cpu;
+            if last_cpu.(i) >= 0 && last_cpu.(i) <> e.e_cpu then incr bounces;
+            last_cpu.(i) <- e.e_cpu;
             busy := !busy +. e.e_dur;
             if e.e_arr < !t_lo then t_lo := e.e_arr;
             if fin > !t_hi then t_hi := fin)
@@ -582,9 +587,9 @@ let project t ~cls ~cpus ~seed =
         Some
           {
             pj_cpus = cpus;
-            pj_events = !nev;
+            pj_events = total;
             pj_wait_us = !wait_total;
-            pj_mean_wait_us = !wait_total /. float_of_int (max 1 !nev);
+            pj_mean_wait_us = !wait_total /. float_of_int (max 1 total);
             pj_max_wait_us = !wait_max;
             pj_bounces = !bounces;
             pj_utilization = !busy /. elapsed;

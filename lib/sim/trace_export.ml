@@ -33,53 +33,123 @@ type source = {
 
 (* -- JSON primitives --------------------------------------------------- *)
 
+(* The writers below run once per exported event, so they append straight
+   into the buffer: no [Printf], and no intermediate strings. *)
+
+let hex_digits = "0123456789abcdef"
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
 let json_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf "\\u00";
+            Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+            Buffer.add_char buf hex_digits.[Char.code c land 0xf]
+        | c -> Buffer.add_char buf c)
+      s;
   Buffer.add_char buf '"'
 
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+(* Decimal, as [%d] writes it. *)
+let add_int buf n =
+  if n >= 0 then add_digits buf n
+  else if n = min_int then Buffer.add_string buf (string_of_int n)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-n)
+  end
+
+let pow5 = [| 1; 5; 25; 125 |]
+let pow10 = [| 1; 10; 100; 1000 |]
+
+(* [v] as [Printf.sprintf "%.*f" decimals v] writes it, for [decimals] in
+   0..3, computed exactly on the float's bits.  With [v = m * 2^e]
+   ([m] the 53-bit significand), [v * 10^d = m * 5^d * 2^(e+d)]: one
+   shift of [m * 5^d], rounded half to even on the exact remainder, as
+   C's printf rounds the exact binary value.  Below 2^51 the exponent is
+   at most -2, so [m * 5^d] shifted left by at most one place stays
+   within 62 bits; larger and non-finite values take the C formatter. *)
+let json_fixed buf ~decimals v =
+  if not (Float.abs v < 0x1p51) then
+    Buffer.add_string buf (Printf.sprintf "%.*f" decimals v)
+  else begin
+    let bits = Int64.bits_of_float v in
+    let biased = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff in
+    let frac = Int64.to_int bits land ((1 lsl 52) - 1) in
+    let m, e =
+      if biased = 0 then (frac, -1074) else (frac lor (1 lsl 52), biased - 1075)
+    in
+    let x = m * pow5.(decimals) in
+    let shift = -(e + decimals) in
+    let q =
+      if shift <= 0 then x lsl (-shift)
+      else if shift > 60 then 0 (* x < 2^60: below one half, rounds to 0 *)
+      else begin
+        let q = x lsr shift in
+        let r = x land ((1 lsl shift) - 1) in
+        let half = 1 lsl (shift - 1) in
+        if r > half || (r = half && q land 1 = 1) then q + 1 else q
+      end
+    in
+    (* printf keeps the sign of a negative value that rounds to zero. *)
+    if Int64.compare bits 0L < 0 then Buffer.add_char buf '-';
+    add_digits buf (q / pow10.(decimals));
+    if decimals > 0 then begin
+      Buffer.add_char buf '.';
+      let f = q mod pow10.(decimals) in
+      let p = ref (pow10.(decimals) / 10) in
+      while !p > 0 do
+        Buffer.add_char buf
+          (Char.unsafe_chr (Char.code '0' + (f / !p mod 10)));
+        p := !p / 10
+      done
+    end
+  end
+
+(* Microsecond values need no more than nanosecond precision; %.17g
+   would round-trip but is noisy. *)
 let json_float buf v =
-  if Float.is_finite v then
-    (* %.17g round-trips but is noisy; microsecond values need no more
-       than nanosecond precision. *)
-    Buffer.add_string buf (Printf.sprintf "%.3f" v)
+  if Float.is_finite v then json_fixed buf ~decimals:3 v
   else Buffer.add_string buf "0"
+
+(* A literal key (with its leading separator) and its value. *)
+let int_field buf key n =
+  Buffer.add_string buf key;
+  add_int buf n
+
+let float_field buf key v =
+  Buffer.add_string buf key;
+  json_float buf v
 
 let json_sep buf first = if !first then first := false else Buffer.add_char buf ','
 
 (* -- Chrome trace-event format ----------------------------------------- *)
 
-let subsys_tid s =
-  let rec idx i = function
-    | [] -> 1
-    | x :: _ when x = s -> i
-    | _ :: tl -> idx (i + 1) tl
-  in
-  idx 1 Hist.all_subsystems
+let subsys_tid s = 1 + Hist.subsystem_index s
 
 let chrome_event buf ~pid (e : Hist.event) =
   Buffer.add_string buf "{\"name\":";
   json_string buf e.name;
   Buffer.add_string buf ",\"cat\":";
   json_string buf (Hist.subsystem_name e.subsys);
-  Buffer.add_string buf (Printf.sprintf ",\"pid\":%d,\"tid\":%d,\"ts\":" pid
-                           (subsys_tid e.subsys));
-  json_float buf e.ts;
-  if e.dur > 0.0 then begin
-    Buffer.add_string buf ",\"ph\":\"X\",\"dur\":";
-    json_float buf e.dur
-  end
+  int_field buf ",\"pid\":" pid;
+  int_field buf ",\"tid\":" (subsys_tid e.subsys);
+  float_field buf ",\"ts\":" e.ts;
+  if e.dur > 0.0 then float_field buf ",\"ph\":\"X\",\"dur\":" e.dur
   else Buffer.add_string buf ",\"ph\":\"i\",\"s\":\"t\"";
   Buffer.add_string buf ",\"args\":{";
   let first = ref true in
@@ -93,8 +163,9 @@ let chrome_event buf ~pid (e : Hist.event) =
   Buffer.add_string buf "}}"
 
 let chrome_metadata buf ~pid ~tid ~name ~value =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":" pid tid);
+  int_field buf "{\"ph\":\"M\",\"pid\":" pid;
+  int_field buf ",\"tid\":" tid;
+  Buffer.add_string buf ",\"name\":";
   json_string buf name;
   Buffer.add_string buf ",\"args\":{\"name\":";
   json_string buf value;
@@ -104,35 +175,34 @@ let chrome_metadata buf ~pid ~tid ~name ~value =
    from 100 to stay clear of the Hist subsystem tids.  Flow arrows
    ("s"/"f" pairs keyed by the child's span id) link each child back to
    its parent so Perfetto draws the causal tree across tracks. *)
-let chrome_flow buf ~pid ~tid ~id ~ts ~ph =
+let chrome_flow buf ~pid ~tid ~id ~ts ~finish =
   Buffer.add_string buf
-    (Printf.sprintf "{\"name\":\"cause\",\"cat\":\"span\",\"ph\":\"%s\"%s" ph
-       (if ph = "f" then ",\"bp\":\"e\"" else ""));
-  Buffer.add_string buf (Printf.sprintf ",\"id\":%d,\"pid\":%d,\"tid\":%d,\"ts\":" id pid tid);
-  json_float buf ts;
+    (if finish then "{\"name\":\"cause\",\"cat\":\"span\",\"ph\":\"f\",\"bp\":\"e\""
+     else "{\"name\":\"cause\",\"cat\":\"span\",\"ph\":\"s\"");
+  int_field buf ",\"id\":" id;
+  int_field buf ",\"pid\":" pid;
+  int_field buf ",\"tid\":" tid;
+  float_field buf ",\"ts\":" ts;
   Buffer.add_string buf ",\"args\":{}}"
 
 let chrome_spans buf ~pid ~first spans =
-  let tracks =
-    List.fold_left
-      (fun acc (sp : Span.span) ->
-        if List.mem sp.ssubsys acc then acc else acc @ [ sp.ssubsys ])
-      [] spans
-  in
-  let track_tid s =
-    let rec idx i = function
-      | [] -> 100
-      | x :: _ when x = s -> i
-      | _ :: tl -> idx (i + 1) tl
-    in
-    idx 100 tracks
-  in
+  (* Track tids in order of first appearance. *)
+  let tids = Hashtbl.create 16 in
+  let tracks = ref [] in
+  List.iter
+    (fun (sp : Span.span) ->
+      if not (Hashtbl.mem tids sp.ssubsys) then begin
+        Hashtbl.replace tids sp.ssubsys (100 + Hashtbl.length tids);
+        tracks := sp.ssubsys :: !tracks
+      end)
+    spans;
+  let track_tid s = Hashtbl.find tids s in
   List.iter
     (fun s ->
       json_sep buf first;
       chrome_metadata buf ~pid ~tid:(track_tid s) ~name:"thread_name"
         ~value:("span:" ^ s))
-    tracks;
+    (List.rev !tracks);
   let by_id = Hashtbl.create 64 in
   List.iter (fun (sp : Span.span) -> Hashtbl.replace by_id sp.sid sp) spans;
   List.iter
@@ -140,16 +210,13 @@ let chrome_spans buf ~pid ~first spans =
       json_sep buf first;
       Buffer.add_string buf "{\"name\":";
       json_string buf sp.sname;
-      Buffer.add_string buf ",\"cat\":\"span\"";
-      Buffer.add_string buf
-        (Printf.sprintf ",\"pid\":%d,\"tid\":%d,\"ts\":" pid
-           (track_tid sp.ssubsys));
-      json_float buf sp.sts;
-      Buffer.add_string buf ",\"ph\":\"X\",\"dur\":";
-      json_float buf (Float.max sp.sdur 0.0);
-      Buffer.add_string buf
-        (Printf.sprintf ",\"args\":{\"trace\":%d,\"span\":%d,\"parent\":%d"
-           sp.strace sp.sid sp.sparent);
+      int_field buf ",\"cat\":\"span\",\"pid\":" pid;
+      int_field buf ",\"tid\":" (track_tid sp.ssubsys);
+      float_field buf ",\"ts\":" sp.sts;
+      float_field buf ",\"ph\":\"X\",\"dur\":" (Float.max sp.sdur 0.0);
+      int_field buf ",\"args\":{\"trace\":" sp.strace;
+      int_field buf ",\"span\":" sp.sid;
+      int_field buf ",\"parent\":" sp.sparent;
       List.iter
         (fun (k, v) ->
           Buffer.add_char buf ',';
@@ -163,10 +230,10 @@ let chrome_spans buf ~pid ~first spans =
       | Some parent ->
           json_sep buf first;
           chrome_flow buf ~pid ~tid:(track_tid parent.ssubsys) ~id:sp.sid
-            ~ts:sp.sts ~ph:"s";
+            ~ts:sp.sts ~finish:false;
           json_sep buf first;
           chrome_flow buf ~pid ~tid:(track_tid sp.ssubsys) ~id:sp.sid
-            ~ts:sp.sts ~ph:"f")
+            ~ts:sp.sts ~finish:true)
     spans
 
 let chrome_json buf sources =
@@ -252,13 +319,20 @@ let aggregate sources =
 (* -- stats/histogram snapshot ------------------------------------------ *)
 
 let json_hist buf h =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"count\":%d,\"sum\":%.3f,\"mean\":%.3f,\"min\":%.3f,\
-        \"max\":%.3f,\"p50\":%.3f,\"p95\":%.3f,\"p99\":%.3f}"
-       (Histogram.count h) (Histogram.sum h) (Histogram.mean h)
-       (Histogram.min_value h) (Histogram.max_value h) (Histogram.p50 h)
-       (Histogram.p95 h) (Histogram.p99 h))
+  (* Every figure as %.3f writes it, non-finite ones included. *)
+  let fixed key v =
+    Buffer.add_string buf key;
+    json_fixed buf ~decimals:3 v
+  in
+  int_field buf "{\"count\":" (Histogram.count h);
+  fixed ",\"sum\":" (Histogram.sum h);
+  fixed ",\"mean\":" (Histogram.mean h);
+  fixed ",\"min\":" (Histogram.min_value h);
+  fixed ",\"max\":" (Histogram.max_value h);
+  fixed ",\"p50\":" (Histogram.p50 h);
+  fixed ",\"p95\":" (Histogram.p95 h);
+  fixed ",\"p99\":" (Histogram.p99 h);
+  Buffer.add_char buf '}'
 
 let snapshot_json buf sources =
   Buffer.add_string buf "{\"schema\":\"uvm-sim-stats/1\",\"systems\":[";
@@ -288,27 +362,24 @@ let snapshot_json buf sources =
           Buffer.add_char buf ':';
           json_hist buf h)
         a.hists;
-      Buffer.add_string buf
-        (Printf.sprintf "},\"trace\":{\"recorded\":%d,\"dropped\":%d}}"
-           a.agg_recorded a.agg_dropped))
+      int_field buf "},\"trace\":{\"recorded\":" a.agg_recorded;
+      int_field buf ",\"dropped\":" a.agg_dropped;
+      Buffer.add_string buf "}}")
     (aggregate sources);
   Buffer.add_string buf "]}\n"
 
 (* -- span export -------------------------------------------------------- *)
 
 let json_span buf (sp : Span.span) =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"span\":%d,\"trace\":%d,\"parent\":%d,\"name\":" sp.sid
-       sp.strace sp.sparent);
+  int_field buf "{\"span\":" sp.sid;
+  int_field buf ",\"trace\":" sp.strace;
+  int_field buf ",\"parent\":" sp.sparent;
+  Buffer.add_string buf ",\"name\":";
   json_string buf sp.sname;
   Buffer.add_string buf ",\"subsys\":";
   json_string buf sp.ssubsys;
-  Buffer.add_string buf ",\"ts\":";
-  json_float buf sp.sts;
-  if sp.sdur >= 0.0 then begin
-    Buffer.add_string buf ",\"dur\":";
-    json_float buf sp.sdur
-  end;
+  float_field buf ",\"ts\":" sp.sts;
+  if sp.sdur >= 0.0 then float_field buf ",\"dur\":" sp.sdur;
   Buffer.add_string buf ",\"detail\":{";
   let first = ref true in
   List.iter
@@ -347,9 +418,9 @@ let spans_json buf sources =
           json_sep buf first;
           json_span buf sp)
         (Span.open_spans src.spans);
-      Buffer.add_string buf
-        (Printf.sprintf "],\"recorded\":%d,\"dropped\":%d}"
-           (Span.recorded src.spans) (Span.dropped src.spans)))
+      int_field buf "],\"recorded\":" (Span.recorded src.spans);
+      int_field buf ",\"dropped\":" (Span.dropped src.spans);
+      Buffer.add_char buf '}')
     sources;
   Buffer.add_string buf "]}\n"
 
@@ -358,19 +429,17 @@ let spans_json buf sources =
 let json_lock_class buf ~cpus ~seed reg (cv : Lockstat.class_view) =
   Buffer.add_string buf "{\"class\":";
   json_string buf cv.Lockstat.cv_cls;
-  Buffer.add_string buf
-    (Printf.sprintf
-       ",\"instances\":%d,\"acquires\":%d,\"reads\":%d,\"writes\":%d"
-       cv.Lockstat.cv_instances cv.Lockstat.cv_acquires cv.Lockstat.cv_reads
-       cv.Lockstat.cv_writes);
+  int_field buf ",\"instances\":" cv.Lockstat.cv_instances;
+  int_field buf ",\"acquires\":" cv.Lockstat.cv_acquires;
+  int_field buf ",\"reads\":" cv.Lockstat.cv_reads;
+  int_field buf ",\"writes\":" cv.Lockstat.cv_writes;
   Buffer.add_string buf ",\"hold_us\":";
   json_hist buf cv.Lockstat.cv_hold;
   Buffer.add_string buf ",\"read_hold_us\":";
   json_hist buf cv.Lockstat.cv_read_hold;
   Buffer.add_string buf ",\"write_hold_us\":";
   json_hist buf cv.Lockstat.cv_write_hold;
-  Buffer.add_string buf ",\"max_hold_us\":";
-  json_float buf cv.Lockstat.cv_max_hold_us;
+  float_field buf ",\"max_hold_us\":" cv.Lockstat.cv_max_hold_us;
   Buffer.add_string buf ",\"by_subsys\":[";
   let first = ref true in
   List.iter
@@ -378,25 +447,21 @@ let json_lock_class buf ~cpus ~seed reg (cv : Lockstat.class_view) =
       json_sep buf first;
       Buffer.add_string buf "{\"subsys\":";
       json_string buf subsys;
-      Buffer.add_string buf (Printf.sprintf ",\"holds\":%d,\"total_us\":" holds);
-      json_float buf total;
+      int_field buf ",\"holds\":" holds;
+      float_field buf ",\"total_us\":" total;
       Buffer.add_string buf "}")
     cv.Lockstat.cv_by_subsys;
   Buffer.add_string buf "],\"contention\":";
   (match Lockstat.project reg ~cls:cv.Lockstat.cv_cls ~cpus ~seed with
   | None -> Buffer.add_string buf "null"
   | Some p ->
-      Buffer.add_string buf
-        (Printf.sprintf "{\"cpus\":%d,\"events\":%d,\"wait_us\":"
-           p.Lockstat.pj_cpus p.Lockstat.pj_events);
-      json_float buf p.Lockstat.pj_wait_us;
-      Buffer.add_string buf ",\"mean_wait_us\":";
-      json_float buf p.Lockstat.pj_mean_wait_us;
-      Buffer.add_string buf ",\"max_wait_us\":";
-      json_float buf p.Lockstat.pj_max_wait_us;
-      Buffer.add_string buf (Printf.sprintf ",\"bounces\":%d,\"utilization\":"
-                               p.Lockstat.pj_bounces);
-      json_float buf p.Lockstat.pj_utilization;
+      int_field buf "{\"cpus\":" p.Lockstat.pj_cpus;
+      int_field buf ",\"events\":" p.Lockstat.pj_events;
+      float_field buf ",\"wait_us\":" p.Lockstat.pj_wait_us;
+      float_field buf ",\"mean_wait_us\":" p.Lockstat.pj_mean_wait_us;
+      float_field buf ",\"max_wait_us\":" p.Lockstat.pj_max_wait_us;
+      int_field buf ",\"bounces\":" p.Lockstat.pj_bounces;
+      float_field buf ",\"utilization\":" p.Lockstat.pj_utilization;
       Buffer.add_string buf "}");
   Buffer.add_string buf "}"
 
@@ -438,7 +503,8 @@ let lockstat_systems buf ?(cpus = 4) ?(seed = 42) sources =
           json_string buf a;
           Buffer.add_string buf ",\"to\":";
           json_string buf b;
-          Buffer.add_string buf (Printf.sprintf ",\"count\":%d}" n))
+          int_field buf ",\"count\":" n;
+          Buffer.add_char buf '}')
         (Lockstat.order_edges merged);
       Buffer.add_string buf "],\"cycles\":[";
       let first = ref true in
@@ -475,9 +541,8 @@ let lockstat_systems buf ?(cpus = 4) ?(seed = 42) sources =
   Buffer.add_char buf ']'
 
 let lockstat_json buf ?(cpus = 4) ?(seed = 42) sources =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"schema\":\"uvm-sim-lockstat/1\",\"cpus\":%d,\"systems\":"
-       cpus);
+  int_field buf "{\"schema\":\"uvm-sim-lockstat/1\",\"cpus\":" cpus;
+  Buffer.add_string buf ",\"systems\":";
   lockstat_systems buf ~cpus ~seed sources;
   Buffer.add_string buf "}\n"
 
@@ -620,10 +685,12 @@ let report_json buf sources =
           json_string buf (Lifecycle.madv_name m);
           let used = Lifecycle.fa_used life m
           and wasted = Lifecycle.fa_wasted life m in
-          Buffer.add_string buf
-            (Printf.sprintf
-               ":{\"mapped\":%d,\"used\":%d,\"wasted\":%d,\"hit_rate\":%.1f}"
-               (Lifecycle.fa_mapped life m) used wasted (hit_rate used wasted)))
+          int_field buf ":{\"mapped\":" (Lifecycle.fa_mapped life m);
+          int_field buf ",\"used\":" used;
+          int_field buf ",\"wasted\":" wasted;
+          Buffer.add_string buf ",\"hit_rate\":";
+          json_fixed buf ~decimals:1 (hit_rate used wasted);
+          Buffer.add_char buf '}')
         all_madv;
       Buffer.add_string buf "},\"fills\":{";
       let first = ref true in
@@ -631,8 +698,7 @@ let report_json buf sources =
         (fun k ->
           json_sep buf first;
           json_string buf (Lifecycle.fill_name k);
-          Buffer.add_string buf
-            (Printf.sprintf ":%d" (Lifecycle.fill_count life k)))
+          int_field buf ":" (Lifecycle.fill_count life k))
         all_fills;
       Buffer.add_string buf "},\"distributions\":{";
       let first = ref true in
@@ -643,13 +709,12 @@ let report_json buf sources =
           Buffer.add_char buf ':';
           json_hist buf h)
         (Lifecycle.hist_rows life);
-      Buffer.add_string buf
-        (Printf.sprintf
-           "},\"fragmentation\":{\"live_entries\":%d,\"peak_entries\":%d}"
-           (Lifecycle.frag_live life) (Lifecycle.frag_peak life));
-      Buffer.add_string buf
-        (Printf.sprintf ",\"ledger\":{\"illegal_transitions\":%d}}"
-           (Lifecycle.illegal_transitions life)))
+      int_field buf "},\"fragmentation\":{\"live_entries\":"
+        (Lifecycle.frag_live life);
+      int_field buf ",\"peak_entries\":" (Lifecycle.frag_peak life);
+      int_field buf "},\"ledger\":{\"illegal_transitions\":"
+        (Lifecycle.illegal_transitions life);
+      Buffer.add_string buf "}}")
     (aggregate sources);
   Buffer.add_string buf "]}\n"
 

@@ -27,9 +27,14 @@ type source = {
 val json_string : Buffer.t -> string -> unit
 (** Append a JSON string literal, escaping as required. *)
 
+val json_fixed : Buffer.t -> decimals:int -> float -> unit
+(** [json_fixed buf ~decimals v] appends exactly what
+    [Printf.sprintf "%.*f" decimals v] returns, for [decimals] in 0..3,
+    without going through [Printf] for magnitudes below 2{^51}. *)
+
 val json_float : Buffer.t -> float -> unit
-(** Append a finite float with millisecond-grade precision; non-finite
-    values become [0]. *)
+(** Append a finite float as [%.3f] writes it; non-finite values become
+    [0]. *)
 
 val chrome_json : Buffer.t -> source list -> unit
 (** Chrome trace-event JSON, loadable in Perfetto or [chrome://tracing].

@@ -7,7 +7,8 @@
 # gated:
 #
 #   - numeric leaves whose key ends in "_us"  fail when  new > old * (1 + TOL)
-#   - numeric leaves whose key ends in "mb_s" fail when  new < old * (1 - TOL)
+#   - numeric leaves whose key ends in "mb_s", "speedup" or "fast_hit_rate"
+#     fail when  new < old * (1 - TOL)
 #
 # The "microbench_ns_per_run" section is wall-clock (Bechamel) and is
 # excluded: it measures the host machine, not the simulated one.
@@ -54,7 +55,7 @@ def gate(path, old, cur):
     """Gate one numeric leaf; returns None or a failure line."""
     key = path.rsplit(".", 1)[-1]
     lower_is_better = key.endswith("_us")
-    higher_is_better = key.endswith("mb_s")
+    higher_is_better = key.endswith(("mb_s", "speedup", "fast_hit_rate"))
     if not (lower_is_better or higher_is_better):
         return
     if not isinstance(old, (int, float)) or not isinstance(cur, (int, float)):

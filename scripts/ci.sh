@@ -34,6 +34,27 @@ diff -u scripts/perfbench_digests.txt artifacts/perfbench_digests.txt || {
 }
 echo 'ci: perfbench digests unchanged'
 
+# Export gate: every exporter's output for one short experiment must
+# match the committed digests byte for byte (the run is deterministic in
+# a fresh process).  A change that means to alter an export format
+# regenerates scripts/export_digests.txt with these same commands and
+# says so.
+mkdir -p artifacts/exports
+./_build/default/bin/uvm_sim.exe table2 \
+  --trace-out artifacts/exports/trace.json \
+  --stats-out artifacts/exports/stats.json \
+  --spans-out artifacts/exports/spans.json \
+  --metrics-out artifacts/exports/metrics.json \
+  --lockstat-out artifacts/exports/lockstat.json \
+  --report-out artifacts/exports/report.json > /dev/null
+(cd artifacts/exports && md5sum trace.json stats.json spans.json \
+  metrics.json lockstat.json report.json) > artifacts/export_digests.txt
+diff -u scripts/export_digests.txt artifacts/export_digests.txt || {
+  echo 'ci: export digests changed: exporter output differs' >&2
+  exit 1
+}
+echo 'ci: export digests unchanged'
+
 # Trace-export smoke test: a short experiment run must produce a valid
 # Chrome trace with fault and pagein events from both VM systems.
 trace=$(mktemp /tmp/uvm-trace.XXXXXX.json)

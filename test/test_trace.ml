@@ -657,6 +657,122 @@ let test_untraced_boot_is_silent () =
     "untraced boots do not register" 0
     (List.length (Vmiface.Machine.traced ()))
 
+(* -- JSON writers ---------------------------------------------------------- *)
+
+(* The exporters write numbers without Printf; their output must stay
+   byte-for-byte what [%.3f] (and [%.*f] in general) produced. *)
+
+let with_buf f =
+  let buf = Buffer.create 32 in
+  f buf;
+  Buffer.contents buf
+
+let check_fixed ~decimals v =
+  let want = Printf.sprintf "%.*f" decimals v in
+  let got = with_buf (fun b -> Sim.Trace_export.json_fixed b ~decimals v) in
+  if got <> want then
+    Alcotest.failf "%%.%df of %h: got %s, want %s" decimals v got want
+
+let check_float v =
+  let want = if Float.is_finite v then Printf.sprintf "%.3f" v else "0" in
+  let got = with_buf (fun b -> Sim.Trace_export.json_float b v) in
+  if got <> want then
+    Alcotest.failf "json_float %h: got %s, want %s" v got want
+
+let float_edge_cases =
+  let ties =
+    (* k / 2^n: exact binary values, many of them decimal ties. *)
+    List.concat_map
+      (fun n -> List.init 64 (fun k -> Float.ldexp (float_of_int k) (-n)))
+      [ 1; 2; 3; 4; 5; 8; 11; 12; 16 ]
+  in
+  let two51 = Float.ldexp 1.0 51 in
+  [
+    0.0; -0.0; Float.min_float; -.Float.min_float; Float.succ 0.0;
+    Float.pred 0.0; Float.pred Float.min_float; 0.0005; -0.0005; 0.0015;
+    0.0025; 0.0625; -0.0625; 0.1; 0.125; 1.0005; 2.5; 999.9995; 0.0004999;
+    -0.0004999; 1e-7; -1e-7; Float.pred two51; two51; Float.succ two51;
+    Float.pred (-.two51); -.two51; Float.ldexp 1.0 52; Float.ldexp 1.0 53;
+    1e15; 1e20; Float.max_float; -.Float.max_float; Float.nan; -.Float.nan;
+    Float.infinity; Float.neg_infinity;
+  ]
+  @ ties
+  @ List.map Float.neg ties
+
+let test_json_float_edge_cases () =
+  List.iter
+    (fun v ->
+      check_float v;
+      for decimals = 0 to 3 do
+        check_fixed ~decimals v
+      done)
+    float_edge_cases
+
+(* A million seeded values: half random bit patterns, half scaled
+   decimals and near-ties in the range the exporters actually write.
+   Most bit patterns get an exponent below 2^51 (subnormals included),
+   where the writer does its own arithmetic; one in 64 keeps all 64
+   random bits, so huge and non-finite values are covered too (they take
+   the C formatter, and print hundreds of digits slowly). *)
+let random_bits rng i =
+  let bits = Random.State.bits64 rng in
+  if i mod 64 = 0 then Int64.float_of_bits bits
+  else
+    let exponent = Int64.of_int (Random.State.int rng (1023 + 51)) in
+    Int64.float_of_bits
+      (Int64.logor
+         (Int64.logand bits 0x800F_FFFF_FFFF_FFFFL)
+         (Int64.shift_left exponent 52))
+
+let test_json_float_random () =
+  let rng = Random.State.make [| 20261017 |] in
+  for i = 1 to 1_000_000 do
+    let v =
+      match i mod 4 with
+      | 0 | 1 -> random_bits rng i
+      | 2 -> Random.State.float rng 1e6 -. 5e5
+      | _ ->
+          (* Within one ulp of a 4th-decimal tie. *)
+          let k = Random.State.int rng 100_000_000 in
+          let t = (float_of_int k +. 0.5) /. 1000.0 in
+          if Random.State.bool rng then Float.succ t
+          else if Random.State.bool rng then Float.pred t
+          else t
+    in
+    check_float v;
+    if i mod 10 = 0 then check_fixed ~decimals:(i / 10 mod 3) v
+  done
+
+(* The escapes the exporters always wrote: the named ones, [\u00XX] for
+   the other control bytes, every other byte verbatim. *)
+let reference_escape c =
+  match c with
+  | '"' -> "\\\""
+  | '\\' -> "\\\\"
+  | '\n' -> "\\n"
+  | '\t' -> "\\t"
+  | '\r' -> "\\r"
+  | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
+  | c -> String.make 1 c
+
+let test_json_string_escapes () =
+  for code = 0 to 255 do
+    let c = Char.chr code in
+    Alcotest.(check string)
+      (Printf.sprintf "byte %d" code)
+      ("\"" ^ reference_escape c ^ "\"")
+      (with_buf (fun b -> Sim.Trace_export.json_string b (String.make 1 c)))
+  done;
+  let all = String.init 256 Char.chr in
+  Alcotest.(check string)
+    "every byte in one string"
+    ("\"" ^ String.concat "" (List.init 256 (fun i -> reference_escape (Char.chr i)))
+   ^ "\"")
+    (with_buf (fun b -> Sim.Trace_export.json_string b all));
+  Alcotest.(check string)
+    "plain string verbatim" "\"fault:zero_fill\""
+    (with_buf (fun b -> Sim.Trace_export.json_string b "fault:zero_fill"))
+
 let () =
   Alcotest.run "trace"
     [
@@ -689,6 +805,15 @@ let () =
             test_tier_event_export;
           Alcotest.test_case "untraced boot is silent" `Quick
             test_untraced_boot_is_silent;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "json_float edge cases match %.3f" `Quick
+            test_json_float_edge_cases;
+          Alcotest.test_case "json_float 1M seeded values match %.3f" `Quick
+            test_json_float_random;
+          Alcotest.test_case "json_string escapes every byte" `Quick
+            test_json_string_escapes;
         ] );
       ( "timeseries",
         [
