@@ -78,7 +78,7 @@ let ablation_pageout_cluster () =
         Pmap.mark_access pmap ~vpn:v ~write:true
       done;
       let dt = Sim.Simclock.now mach.Vmiface.Machine.clock -. t0 in
-      let writes = mach.Vmiface.Machine.stats.Sim.Stats.disk_write_ops in
+      let writes = Sim.Stats.(get mach.Vmiface.Machine.stats disk_write_ops) in
       Printf.printf "%-10d %12.3f s %12d\n" cluster (dt /. 1e6) writes;
       (cluster, dt, writes))
     [ 1; 2; 4; 8; 16; 32 ]
@@ -110,7 +110,7 @@ let ablation_fault_ahead () =
       in
       (* Replay the cc text-sweep access order. *)
       let trace = Oslayer.Trace.command_trace Oslayer.Programs.cc in
-      let f0 = mach.Vmiface.Machine.stats.Sim.Stats.faults in
+      let f0 = Sim.Stats.(get mach.Vmiface.Machine.stats faults) in
       List.iter
         (fun (seg, page, _) ->
           if seg = Oslayer.Trace.Seg_text && page < 640 then
@@ -121,7 +121,7 @@ let ablation_fault_ahead () =
                 | Ok () -> ()
                 | Error _ -> assert false))
         trace;
-      let faults = mach.Vmiface.Machine.stats.Sim.Stats.faults - f0 in
+      let faults = Sim.Stats.(get mach.Vmiface.Machine.stats faults) - f0 in
       Printf.printf "%d/%-10d %10d\n" behind ahead faults;
       (behind, ahead, faults))
     [ (0, 0); (1, 2); (3, 4); (6, 8) ]
@@ -175,14 +175,16 @@ let ablation_fault_rate () =
           let dt = Sim.Simclock.now clock -. t0 in
           let st = mach.Vmiface.Machine.stats in
           Printf.printf "%-10.3f %-10d %10.3f s %10d %10d %10d\n" rate cluster
-            (dt /. 1e6) st.Sim.Stats.disk_write_ops
-            st.Sim.Stats.io_errors_injected st.Sim.Stats.pageout_retries;
+            (dt /. 1e6)
+            Sim.Stats.(get st disk_write_ops)
+            Sim.Stats.(get st io_errors_injected)
+            Sim.Stats.(get st pageout_retries);
           ( rate,
             cluster,
             dt,
-            st.Sim.Stats.disk_write_ops,
-            st.Sim.Stats.io_errors_injected,
-            st.Sim.Stats.pageout_retries ))
+            Sim.Stats.(get st disk_write_ops),
+            Sim.Stats.(get st io_errors_injected),
+            Sim.Stats.(get st pageout_retries) ))
         [ 1; 8; 16 ])
     [ 0.0; 0.01; 0.05 ]
 

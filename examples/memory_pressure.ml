@@ -122,14 +122,14 @@ module Run (V : Vmiface.Vm_sig.VM_SYS) = struct
       "%-8s compile: %7.2f s | editor keystroke avg: %8.1f us | pageouts=%d in %d I/Os\n"
       V.name (total /. 1e6)
       (!editor_time /. float_of_int !editor_ticks)
-      st.Sim.Stats.pageouts st.Sim.Stats.disk_write_ops;
+      Sim.Stats.(get st pageouts) Sim.Stats.(get st disk_write_ops);
     if fault_plan <> None then
       Printf.printf
         "         faults injected: %d | retries: %d | pageouts recovered: %d | \
          slots blacklisted: %d | pageins failed: %d | swap-full events: %d\n"
-        st.Sim.Stats.io_errors_injected st.Sim.Stats.pageout_retries
-        st.Sim.Stats.pageouts_recovered st.Sim.Stats.bad_slots
-        st.Sim.Stats.pageins_failed st.Sim.Stats.swap_full_events
+        Sim.Stats.(get st io_errors_injected) Sim.Stats.(get st pageout_retries)
+        Sim.Stats.(get st pageouts_recovered) Sim.Stats.(get st bad_slots)
+        Sim.Stats.(get st pageins_failed) Sim.Stats.(get st swap_full_events)
 end
 
 module U = Run (Uvm.Sys)

@@ -38,7 +38,7 @@ let () =
   S.access_range sys proc ~vpn:text ~npages:6 Read;
   S.write_bytes sys proc ~addr:(bss * 4096) (Bytes.of_string "hello, uvm");
   Printf.printf "after faults: %d resident pages, %d faults taken\n"
-    (S.resident_pages proc) mach.Vmiface.Machine.stats.Sim.Stats.faults;
+    (S.resident_pages proc) Sim.Stats.(get mach.Vmiface.Machine.stats faults);
 
   (* Fork: the child shares everything copy-on-write. *)
   let child = S.fork sys proc in
@@ -48,8 +48,8 @@ let () =
   Printf.printf "parent sees %S, child sees %S\n" (Bytes.to_string p)
     (Bytes.to_string c);
   Printf.printf "COW resolved with %d page copies and %d in-place writes\n"
-    mach.Vmiface.Machine.stats.Sim.Stats.cow_copies
-    mach.Vmiface.Machine.stats.Sim.Stats.cow_reuses;
+    Sim.Stats.(get mach.Vmiface.Machine.stats cow_copies)
+    Sim.Stats.(get mach.Vmiface.Machine.stats cow_reuses);
 
   (* Tear down; anonymous memory is freed the moment it is unreferenced. *)
   S.destroy_vmspace sys child;

@@ -59,7 +59,7 @@ module Server (V : Vmiface.Vm_sig.VM_SYS) = struct
       "%-8s %6d requests in %8.3f s  (%.2f ms/req, %d disk reads, %d cache evictions)\n"
       V.name requests (elapsed /. 1e6)
       (elapsed /. 1e3 /. float_of_int requests)
-      st.Sim.Stats.disk_read_ops st.Sim.Stats.obj_cache_evictions;
+      Sim.Stats.(get st disk_read_ops) Sim.Stats.(get st obj_cache_evictions);
     !checksum
 end
 

@@ -50,7 +50,7 @@ let () =
 
   (* Path 3: page transfer — the consumer receives the pages as its own
      anonymous memory, again without copying. *)
-  let copies_before = mach.Vmiface.Machine.stats.Sim.Stats.pages_copied in
+  let copies_before = Sim.Stats.(get mach.Vmiface.Machine.stats pages_copied) in
   let t0 = Sim.Simclock.now clock in
   let dst =
     Uvm.page_transfer producer ~vpn:src ~npages:payload_pages ~dst:consumer
@@ -60,7 +60,7 @@ let () =
   let got = S.read_bytes sys consumer ~addr:((dst + 1) * 4096) ~len:9 in
   Printf.printf "consumer reads transferred page: %S (pages copied: %d)\n"
     (Bytes.to_string got)
-    (mach.Vmiface.Machine.stats.Sim.Stats.pages_copied - copies_before);
+    (Sim.Stats.(get mach.Vmiface.Machine.stats pages_copied) - copies_before);
 
   (* Path 4: map-entry passing — move the whole range through the
      high-level map structures. *)

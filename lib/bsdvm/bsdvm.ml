@@ -96,8 +96,7 @@ module Sys = struct
   let new_vmspace sys = make_vmspace sys ~kernel:false
 
   let clone_entry bsys map (e : Vm_map.entry) =
-    (Bsd_sys.stats bsys).Sim.Stats.map_entries_allocated <-
-      (Bsd_sys.stats bsys).Sim.Stats.map_entries_allocated + 1;
+    Sim.Stats.(incr (Bsd_sys.stats bsys) map_entries_allocated);
     Sim.Lifecycle.note_entry_alloc
       (Physmem.lifecycle (Bsd_sys.physmem bsys));
     Bsd_sys.charge_struct_alloc bsys;
@@ -162,8 +161,7 @@ module Sys = struct
                       ~owner:(Vm_object.Obj_page obj) ~offset:i ()
                   in
                   Physmem.copy_data physmem ~src:pte.Pmap.page ~dst:fresh_page;
-                  (Bsd_sys.stats bsys).Sim.Stats.cow_copies <-
-                    (Bsd_sys.stats bsys).Sim.Stats.cow_copies + 1;
+                  Sim.Stats.(incr (Bsd_sys.stats bsys) cow_copies);
                   Vm_object.insert_page obj ~pgno:i fresh_page;
                   fresh_page.Physmem.Page.dirty <- true;
                   Physmem.activate physmem fresh_page

@@ -73,7 +73,7 @@ let fault map ~vpn ~access ~wire =
   let costs = Bsd_sys.costs sys in
   let t0 = Sim.Simclock.now (Bsd_sys.clock sys) in
   Bsd_sys.charge sys costs.Sim.Cost_model.fault_entry;
-  stats.Sim.Stats.faults <- stats.Sim.Stats.faults + 1;
+  Sim.Stats.(incr stats faults);
   let span = Bsd_sys.span_start sys ~subsys:"fault" "fault" in
   Vm_map.lock map;
   (* Every exit goes through [finish]: one place to record the fault-path
@@ -194,7 +194,7 @@ let fault map ~vpn ~access ~wire =
                   Physmem.copy_data physmem ~src:page ~dst:fresh;
                   Physmem.note_fault_in physmem fresh
                     ~fill:Sim.Lifecycle.Fill_cow;
-                  stats.Sim.Stats.cow_copies <- stats.Sim.Stats.cow_copies + 1;
+                  Sim.Stats.(incr stats cow_copies);
                   (* The copy-up changes what any map entry whose chain
                      starts at [first_obj] resolves for this offset.  Other
                      processes sharing [first_obj] may still map the deeper

@@ -28,7 +28,7 @@ let cached_count t = Sim.Dlist.length t.lru
    pays and UVM doesn't). *)
 let lookup_vnode sys t vn =
   let stats = Bsd_sys.stats sys in
-  stats.Sim.Stats.hash_lookups <- stats.Sim.Stats.hash_lookups + 1;
+  Sim.Stats.(incr stats hash_lookups);
   Bsd_sys.charge sys (Bsd_sys.costs sys).Sim.Cost_model.hash_lookup;
   Hashtbl.find_opt t.by_vnode vn.Vfs.Vnode.vid
 
@@ -74,8 +74,7 @@ let rec deref sys t obj =
           | Some victim ->
               victim.Vm_object.cached <- false;
               victim.Vm_object.lru_node <- None;
-              (Bsd_sys.stats sys).Sim.Stats.obj_cache_evictions <-
-                (Bsd_sys.stats sys).Sim.Stats.obj_cache_evictions + 1;
+              Sim.Stats.(incr (Bsd_sys.stats sys) obj_cache_evictions);
               terminate sys t victim
           | None -> ()
         end
@@ -99,8 +98,7 @@ let reference_for_mapping sys t obj =
         obj.Vm_object.lru_node <- None
     | None -> ());
     obj.Vm_object.refs <- 1;
-    (Bsd_sys.stats sys).Sim.Stats.obj_cache_hits <-
-      (Bsd_sys.stats sys).Sim.Stats.obj_cache_hits + 1
+    Sim.Stats.(incr (Bsd_sys.stats sys) obj_cache_hits)
   end
   else Vm_object.reference obj
 
@@ -113,6 +111,5 @@ let vnode_object sys t vn =
   | None ->
       let obj = Vm_object.alloc_vnode_object sys vn in
       Hashtbl.replace t.by_vnode vn.Vfs.Vnode.vid obj;
-      (Bsd_sys.stats sys).Sim.Stats.obj_cache_misses <-
-        (Bsd_sys.stats sys).Sim.Stats.obj_cache_misses + 1;
+      Sim.Stats.(incr (Bsd_sys.stats sys) obj_cache_misses);
       obj

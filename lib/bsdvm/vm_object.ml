@@ -44,7 +44,7 @@ let live_anon_objects ~sys_uid =
 
 let alloc_bare sys kind =
   let stats = Bsd_sys.stats sys in
-  stats.Sim.Stats.objects_allocated <- stats.Sim.Stats.objects_allocated + 1;
+  Sim.Stats.(incr stats objects_allocated);
   Bsd_sys.charge sys (Bsd_sys.costs sys).Sim.Cost_model.object_alloc;
   let obj =
     {
@@ -75,11 +75,10 @@ let alloc_bare sys kind =
 let alloc_vnode_object sys vn =
   let obj = alloc_bare sys (Vnode vn) in
   let stats = Bsd_sys.stats sys in
-  stats.Sim.Stats.pager_structs_allocated <-
-    stats.Sim.Stats.pager_structs_allocated + 2;
+  Sim.Stats.(bump stats pager_structs_allocated 2);
   Bsd_sys.charge_struct_alloc sys;
   Bsd_sys.charge_struct_alloc sys;
-  stats.Sim.Stats.hash_lookups <- stats.Sim.Stats.hash_lookups + 1;
+  Sim.Stats.(incr stats hash_lookups);
   Bsd_sys.charge sys (Bsd_sys.costs sys).Sim.Cost_model.hash_lookup;
   Vfs.vref (Bsd_sys.vfs sys) vn;
   obj.has_vref <- true;
@@ -96,8 +95,7 @@ let alloc_shadow sys ~backing ~offset =
      between the paper's 48us private and 24us shared read faults). *)
   Bsd_sys.charge sys (3.0 *. (Bsd_sys.costs sys).Sim.Cost_model.object_alloc);
   let stats = Bsd_sys.stats sys in
-  stats.Sim.Stats.shadow_objects_allocated <-
-    stats.Sim.Stats.shadow_objects_allocated + 1;
+  Sim.Stats.(incr stats shadow_objects_allocated);
   obj.shadow <- Some backing;
   obj.shadow_offset <- offset;
   backing.shadow_count <- backing.shadow_count + 1;
@@ -167,7 +165,7 @@ let rec find_in_chain sys obj ~off ~depth =
   let fail_pagein page =
     Physmem.free_page (Bsd_sys.physmem sys) page;
     let stats = Bsd_sys.stats sys in
-    stats.Sim.Stats.pageins_failed <- stats.Sim.Stats.pageins_failed + 1;
+    Sim.Stats.(incr stats pageins_failed);
     Error Vmiface.Vmtypes.Pager_error
   in
   (* Every pagein here moves exactly one page; [pager] says which backing
@@ -277,7 +275,7 @@ let rec collapse sys obj =
   match obj.shadow with
   | None -> ()
   | Some backing ->
-      stats.Sim.Stats.collapse_attempts <- stats.Sim.Stats.collapse_attempts + 1;
+      Sim.Stats.(incr stats collapse_attempts);
       (* Scanning the backing object's pages costs time proportional to
          its residency. *)
       Bsd_sys.charge sys
@@ -325,8 +323,7 @@ let rec collapse sys obj =
         backing.shadow <- None;
         backing.dead <- true;
         Hashtbl.remove anon_registry backing.id;
-        stats.Sim.Stats.collapse_successes <-
-          stats.Sim.Stats.collapse_successes + 1;
+        Sim.Stats.(incr stats collapse_successes);
         collapse sys obj
       end
       else if
@@ -343,7 +340,6 @@ let rec collapse sys obj =
         | None -> obj.shadow <- None);
         backing.shadow_count <- backing.shadow_count - 1;
         backing.refs <- backing.refs - 1;
-        stats.Sim.Stats.collapse_successes <-
-          stats.Sim.Stats.collapse_successes + 1;
+        Sim.Stats.(incr stats collapse_successes);
         collapse sys obj
       end

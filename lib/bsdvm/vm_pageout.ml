@@ -98,8 +98,7 @@ let pageout_one sys (obj : Vm_object.t) (page : Physmem.Page.t) =
           | Swap.Swaptier.Written | Swap.Swaptier.Reassigned _ -> true
           | Swap.Swaptier.No_space _ | Swap.Swaptier.Failed _ -> false)
       | None ->
-          stats.Sim.Stats.swap_full_events <-
-            stats.Sim.Stats.swap_full_events + 1;
+          Sim.Stats.(incr stats swap_full_events);
           false (* swap exhausted *))
 
 let run sys =

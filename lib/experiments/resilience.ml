@@ -149,7 +149,7 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     (* Pass 2: the first half re-faults from the swapcache; at the
        midpoint the fast tier dies and the rest falls back to the vnode. *)
     let half = cfg.file_pages / 2 in
-    let hits0 = st.Sim.Stats.swap_cache_hits in
+    let hits0 = Sim.Stats.(get st swap_cache_hits) in
     let t_half = ref 0.0 and t_done = ref 0.0 in
     let hits_before = ref 0 in
     let t0 = Machine.now mach in
@@ -158,7 +158,7 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
         ( half,
           fun () ->
             t_half := Machine.now mach;
-            hits_before := st.Sim.Stats.swap_cache_hits - hits0;
+            hits_before := Sim.Stats.(get st swap_cache_hits) - hits0;
             Swap.Swaptier.kill_device swap ~name:"fast" )
       ~on_page:(fun i ->
         if i = cfg.file_pages - 1 then t_done := Machine.now mach)
@@ -207,13 +207,13 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
       rs_system = V.name;
       rs_survived = !lost = 0;
       rs_lost_pages = !lost;
-      rs_migrations = st.Sim.Stats.swap_migrations;
-      rs_failovers = st.Sim.Stats.swap_failovers;
-      rs_devices_dead = st.Sim.Stats.swap_devices_dead;
-      rs_cache_fills = st.Sim.Stats.swap_cache_fills;
+      rs_migrations = Sim.Stats.(get st swap_migrations);
+      rs_failovers = Sim.Stats.(get st swap_failovers);
+      rs_devices_dead = Sim.Stats.(get st swap_devices_dead);
+      rs_cache_fills = Sim.Stats.(get st swap_cache_fills);
       rs_cache_hits_before = !hits_before;
-      rs_cache_hits = st.Sim.Stats.swap_cache_hits;
-      rs_cache_evictions = st.Sim.Stats.swap_cache_evictions;
+      rs_cache_hits = Sim.Stats.(get st swap_cache_hits);
+      rs_cache_evictions = Sim.Stats.(get st swap_cache_evictions);
       rs_hit_rate_before = float_of_int !hits_before /. float_of_int (max 1 half);
       rs_us_per_page_before = us_before;
       rs_us_per_page_after = us_after;

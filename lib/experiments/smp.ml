@@ -225,7 +225,7 @@ module Run (V : Vmiface.Vm_sig.VM_SYS) = struct
             sc_wait_us = cv.Sim.Smp.cv_wait_us;
             sc_bounces = cv.Sim.Smp.cv_bounces;
             sc_wait_by_class = cv.Sim.Smp.cv_wait_by_class;
-            sc_faults = cv.Sim.Smp.cv_stats.Sim.Stats.faults;
+            sc_faults = Sim.Stats.(get cv.Sim.Smp.cv_stats faults);
             sc_cache_hits = cw.Physmem.cw_hits;
             sc_cache_misses = cw.Physmem.cw_misses;
             sc_refills = cw.Physmem.cw_refills;
@@ -241,9 +241,9 @@ module Run (V : Vmiface.Vm_sig.VM_SYS) = struct
       kr_total_wait_us = Sim.Smp.total_wait_us smp;
       kr_total_bounces = Sim.Smp.total_bounces smp;
       kr_wait_by_class = Sim.Smp.wait_by_class smp;
-      kr_fast_hits = stats.Sim.Stats.lookup_fast_hits;
-      kr_locked_lookups = stats.Sim.Stats.lookup_locked;
-      kr_faults = stats.Sim.Stats.faults;
+      kr_fast_hits = Sim.Stats.(get stats lookup_fast_hits);
+      kr_locked_lookups = Sim.Stats.(get stats lookup_locked);
+      kr_faults = Sim.Stats.(get stats faults);
       kr_audits = !audits;
       kr_audit_failures = List.rev !failures;
       kr_cpu_rows = rows;

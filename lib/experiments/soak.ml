@@ -439,9 +439,9 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
       List.iter
         (fun n ->
           let r = row_of n in
-          r.pr_faults <- r.pr_faults + d.Sim.Stats.faults;
-          r.pr_pageouts <- r.pr_pageouts + d.Sim.Stats.pageouts;
-          r.pr_swapouts <- r.pr_swapouts + d.Sim.Stats.proc_swapouts)
+          r.pr_faults <- r.pr_faults + Sim.Stats.(get d faults);
+          r.pr_pageouts <- r.pr_pageouts + Sim.Stats.(get d pageouts);
+          r.pr_swapouts <- r.pr_swapouts + Sim.Stats.(get d proc_swapouts))
         names;
       Machine.charge mach cfg.epoch_us;
       incr epoch
@@ -488,12 +488,12 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
       so_lost_pages = !lost;
       so_p99_fault_us = p99;
       so_p99_bound_us = cfg.p99_bound_us;
-      so_oom_kills = st.Sim.Stats.oom_kills;
+      so_oom_kills = Sim.Stats.(get st oom_kills);
       so_unattributed_ooms = unattributed;
-      so_rlimit_denials = st.Sim.Stats.rlimit_denials;
-      so_proc_swapouts = st.Sim.Stats.proc_swapouts;
-      so_proc_swapins = st.Sim.Stats.proc_swapins;
-      so_reserve_grabs = st.Sim.Stats.reserve_grabs;
+      so_rlimit_denials = Sim.Stats.(get st rlimit_denials);
+      so_proc_swapouts = Sim.Stats.(get st proc_swapouts);
+      so_proc_swapins = Sim.Stats.(get st proc_swapins);
+      so_reserve_grabs = Sim.Stats.(get st reserve_grabs);
       so_send_timeouts = !send_timeouts;
       so_send_peer_dead = !send_peer_dead;
       so_kills = List.rev !kills;

@@ -15,10 +15,10 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     let sys = V.boot () in
     P.boot_kernel sys;
     let stats = (V.machine sys).Vmiface.Machine.stats in
-    let before = stats.Sim.Stats.faults in
+    let before = Sim.Stats.(get stats faults) in
     let proc = P.spawn sys prog in
     P.replay sys proc (Oslayer.Trace.command_trace prog);
-    stats.Sim.Stats.faults - before
+    Sim.Stats.(get stats faults) - before
 
   let commands =
     [

@@ -171,8 +171,7 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     else begin
       let m = V.machine sys in
       let ps = Machine.page_size m in
-      m.Machine.stats.Sim.Stats.vslock_ios <-
-        m.Machine.stats.Sim.Stats.vslock_ios + 1;
+      Sim.Stats.(incr m.Machine.stats vslock_ios);
       let vpn = addr / ps in
       let npages = ((addr + len - 1) / ps) - vpn + 1 in
       let wb = V.vslock sys vm ~vpn ~npages in
@@ -189,8 +188,7 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     let m = V.machine sys in
     let data = V.read_bytes sys vm ~addr ~len:n in
     charge_copy sys n;
-    m.Machine.stats.Sim.Stats.ipc_bytes_copied <-
-      m.Machine.stats.Sim.Stats.ipc_bytes_copied + n;
+    Sim.Stats.(bump m.Machine.stats ipc_bytes_copied n);
     enqueue ch (S_bytes { data; off = 0 }) n
 
   let send_loan sys vm ch ~addr ~n =
@@ -201,8 +199,7 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     match V.stage_loan sys vm ~vpn ~npages with
     | None -> send_copy sys vm ch ~addr ~n
     | Some stage ->
-        m.Machine.stats.Sim.Stats.ipc_bytes_loaned <-
-          m.Machine.stats.Sim.Stats.ipc_bytes_loaned + n;
+        Sim.Stats.(bump m.Machine.stats ipc_bytes_loaned n);
         enqueue ch (S_stage { stage; start = addr mod ps; len = n; off = 0 }) n
 
   let send_mexp sys vm ch ~addr ~n =
@@ -215,8 +212,7 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
       match V.stage_mexp sys vm ~vpn:(addr / ps) ~npages:(n / ps) with
       | None -> send_copy sys vm ch ~addr ~n
       | Some stage ->
-          m.Machine.stats.Sim.Stats.ipc_bytes_mapped <-
-            m.Machine.stats.Sim.Stats.ipc_bytes_mapped + n;
+          Sim.Stats.(bump m.Machine.stats ipc_bytes_mapped n);
           enqueue ch (S_stage { stage; start = 0; len = n; off = 0 }) n
 
   let send sys vm ?(vslocked = false) ch ~policy ~addr ~len =
@@ -247,8 +243,7 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
           | Mexp -> send_mexp sys vm ch ~addr ~n
         in
         if vslocked then with_vslock sys vm ~addr ~len move else move ();
-        m.Machine.stats.Sim.Stats.ipc_sends <-
-          m.Machine.stats.Sim.Stats.ipc_sends + 1
+        Sim.Stats.(incr m.Machine.stats ipc_sends)
       end;
       n
     in
@@ -342,8 +337,7 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
             if vslocked then with_vslock sys vm ~addr ~len deliver
             else deliver ();
             charge_copy sys !got;
-            m.Machine.stats.Sim.Stats.ipc_bytes_copied <-
-              m.Machine.stats.Sim.Stats.ipc_bytes_copied + !got;
+            Sim.Stats.(bump m.Machine.stats ipc_bytes_copied !got);
             ch.q_len <- ch.q_len - !got
           end;
           Data !got
@@ -351,8 +345,7 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     (match result with
     | Data 0 -> ()
     | Data _ | Mapped _ ->
-        m.Machine.stats.Sim.Stats.ipc_recvs <-
-          m.Machine.stats.Sim.Stats.ipc_recvs + 1);
+        Sim.Stats.(incr m.Machine.stats ipc_recvs));
     span_finish sys span
       ~detail:
         [

@@ -237,8 +237,7 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     Overload.badness ~usage:(usage mgr proc) ~age:(!pid_counter - proc.born)
 
   let deny mgr proc limit =
-    (mstats mgr).Sim.Stats.rlimit_denials <-
-      (mstats mgr).Sim.Stats.rlimit_denials + 1;
+    Sim.Stats.(incr (mstats mgr) rlimit_denials);
     raise (Overload.Rlimit_exceeded { pid = proc.pid; limit })
 
   (* Cheap per-touch check: resident_count is a counter, no walk. *)
@@ -272,8 +271,7 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     swapout_proc mgr.msys proc;
     proc.swapped <- true;
     set_chans proc Ipc.Rx_swapped;
-    (mstats mgr).Sim.Stats.proc_swapouts <-
-      (mstats mgr).Sim.Stats.proc_swapouts + 1;
+    Sim.Stats.(incr (mstats mgr) proc_swapouts);
     evicted
 
   let swapin_whole mgr proc =
@@ -281,8 +279,7 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
       swapin_proc mgr.msys proc;
       proc.swapped <- false;
       set_chans proc Ipc.Rx_alive;
-      (mstats mgr).Sim.Stats.proc_swapins <-
-        (mstats mgr).Sim.Stats.proc_swapins + 1
+      Sim.Stats.(incr (mstats mgr) proc_swapins)
     end
 
   (* OOM teardown through the ordinary exit machinery — the audit must
@@ -299,7 +296,7 @@ module Make (V : Vmiface.Vm_sig.VM_SYS) = struct
     end;
     set_chans proc Ipc.Rx_dead;
     exit_proc mgr.msys proc;
-    (mstats mgr).Sim.Stats.oom_kills <- (mstats mgr).Sim.Stats.oom_kills + 1;
+    Sim.Stats.(incr (mstats mgr) oom_kills);
     match mgr.on_kill with Some f -> f proc ~badness:b | None -> ()
 
   let deliver_kill mgr proc =

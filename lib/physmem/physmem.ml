@@ -138,12 +138,11 @@ let fa_resolve ~stats ~lifecycle (page : Page.t) ~used =
     let m = Sim.Lifecycle.madv_of_index page.Page.l_fa in
     page.Page.l_fa <- -1;
     if used then begin
-      stats.Sim.Stats.fault_ahead_used <- stats.Sim.Stats.fault_ahead_used + 1;
+      Sim.Stats.(incr stats fault_ahead_used);
       Sim.Lifecycle.note_fa_used lifecycle m
     end
     else begin
-      stats.Sim.Stats.fault_ahead_wasted <-
-        stats.Sim.Stats.fault_ahead_wasted + 1;
+      Sim.Stats.(incr stats fault_ahead_wasted);
       Sim.Lifecycle.note_fa_wasted lifecycle m
     end
   end
@@ -439,8 +438,7 @@ let refill_cache t cache =
                 incr moved;
                 if c mod np <> base then begin
                   cache.cc_steals <- cache.cc_steals + 1;
-                  t.stats.Sim.Stats.cache_steals <-
-                    t.stats.Sim.Stats.cache_steals + 1
+                  Sim.Stats.(incr t.stats cache_steals)
                 end
             | None -> continue := false
           done;
@@ -451,7 +449,7 @@ let refill_cache t cache =
   end;
   if !moved > 0 then begin
     cache.cc_refills <- cache.cc_refills + 1;
-    t.stats.Sim.Stats.cache_refills <- t.stats.Sim.Stats.cache_refills + 1
+    Sim.Stats.(incr t.stats cache_refills)
   end;
   !moved > 0
 
@@ -479,7 +477,7 @@ let drain_caches t =
         done;
         cache.cc_count <- 0;
         cache.cc_drains <- cache.cc_drains + 1;
-        t.stats.Sim.Stats.cache_drains <- t.stats.Sim.Stats.cache_drains + 1
+        Sim.Stats.(incr t.stats cache_drains)
       end)
     t.caches
 
@@ -563,8 +561,7 @@ let alloc t ?(zero = false) ?(privileged = false) ~owner ~offset () =
       match pop_queue_min t with
       | Some page ->
           if t.free_count < t.reserve then
-            t.stats.Sim.Stats.reserve_grabs <-
-              t.stats.Sim.Stats.reserve_grabs + 1;
+            Sim.Stats.(incr t.stats reserve_grabs);
           Some page
       | None ->
           if t.free_count > 0 then begin
@@ -580,13 +577,11 @@ let alloc t ?(zero = false) ?(privileged = false) ~owner ~offset () =
       match cache_pop t cache with
       | Some page ->
           cache.cc_hits <- cache.cc_hits + 1;
-          t.stats.Sim.Stats.cache_alloc_hits <-
-            t.stats.Sim.Stats.cache_alloc_hits + 1;
+          Sim.Stats.(incr t.stats cache_alloc_hits);
           Some page
       | None ->
           cache.cc_misses <- cache.cc_misses + 1;
-          t.stats.Sim.Stats.cache_alloc_misses <-
-            t.stats.Sim.Stats.cache_alloc_misses + 1;
+          Sim.Stats.(incr t.stats cache_alloc_misses);
           if refill_cache t cache then begin
             match cache_pop t cache with
             | Some page -> Some page
@@ -649,7 +644,7 @@ let alloc t ?(zero = false) ?(privileged = false) ~owner ~offset () =
   if zero then begin
     Bytes.fill page.Page.data 0 t.page_size '\000';
     Sim.Simclock.advance t.clock t.costs.Sim.Cost_model.page_zero;
-    t.stats.Sim.Stats.pages_zeroed <- t.stats.Sim.Stats.pages_zeroed + 1
+    Sim.Stats.(incr t.stats pages_zeroed)
   end;
   page
 
@@ -890,12 +885,10 @@ module Lookup = struct
     Sim.Simclock.advance t.clock t.costs.Sim.Cost_model.hash_lookup;
     match probe k ~pgno with
     | Some page ->
-        t.stats.Sim.Stats.lookup_fast_hits <-
-          t.stats.Sim.Stats.lookup_fast_hits + 1;
+        Sim.Stats.(incr t.stats lookup_fast_hits);
         Some page
     | None ->
-        t.stats.Sim.Stats.lookup_locked <-
-          t.stats.Sim.Stats.lookup_locked + 1;
+        Sim.Stats.(incr t.stats lookup_locked);
         None
 
   let peek k ~pgno = probe k ~pgno
@@ -948,12 +941,12 @@ let note_reassign t (page : Page.t) ~dist =
 let copy_data t ~(src : Page.t) ~(dst : Page.t) =
   Bytes.blit src.data 0 dst.data 0 t.page_size;
   Sim.Simclock.advance t.clock t.costs.Sim.Cost_model.page_copy;
-  t.stats.Sim.Stats.pages_copied <- t.stats.Sim.Stats.pages_copied + 1
+  Sim.Stats.(incr t.stats pages_copied)
 
 let zero_data t (page : Page.t) =
   Bytes.fill page.data 0 t.page_size '\000';
   Sim.Simclock.advance t.clock t.costs.Sim.Cost_model.page_zero;
-  t.stats.Sim.Stats.pages_zeroed <- t.stats.Sim.Stats.pages_zeroed + 1
+  Sim.Stats.(incr t.stats pages_zeroed)
 
 module Testhook = struct
   (* Deliberately link [page] onto a second paging queue without unlinking

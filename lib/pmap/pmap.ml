@@ -61,8 +61,7 @@ let remove_one t ~vpn =
       pv_remove t.ctx pte.page t vpn;
       Hashtbl.remove t.ptes vpn;
       charge t t.ctx.costs.Sim.Cost_model.pmap_remove;
-      t.ctx.stats.Sim.Stats.pmap_removes <-
-        t.ctx.stats.Sim.Stats.pmap_removes + 1
+      Sim.Stats.(incr t.ctx.stats pmap_removes)
 
 let enter t ~vpn ~page ~prot ~wired =
   (match Hashtbl.find_opt t.ptes vpn with
@@ -76,7 +75,7 @@ let enter t ~vpn ~page ~prot ~wired =
       Hashtbl.replace t.ptes vpn { page; prot; wired };
       pv_add t.ctx page t vpn);
   charge t t.ctx.costs.Sim.Cost_model.pmap_enter;
-  t.ctx.stats.Sim.Stats.pmap_enters <- t.ctx.stats.Sim.Stats.pmap_enters + 1
+  Sim.Stats.(incr t.ctx.stats pmap_enters)
 
 let remove_range t ~lo ~hi =
   (* Collect first: removing mutates the table we would be iterating. *)
@@ -94,8 +93,7 @@ let protect_range t ~lo ~hi ~prot =
         if vpn >= lo && vpn < hi then begin
           pte.prot <- prot;
           charge t t.ctx.costs.Sim.Cost_model.pmap_protect;
-          t.ctx.stats.Sim.Stats.pmap_protects <-
-            t.ctx.stats.Sim.Stats.pmap_protects + 1
+          Sim.Stats.(incr t.ctx.stats pmap_protects)
         end)
       t.ptes
 
@@ -105,8 +103,7 @@ let restrict_range t ~lo ~hi ~prot =
       if vpn >= lo && vpn < hi then begin
         pte.prot <- Prot.intersect pte.prot prot;
         charge t t.ctx.costs.Sim.Cost_model.pmap_protect;
-        t.ctx.stats.Sim.Stats.pmap_protects <-
-          t.ctx.stats.Sim.Stats.pmap_protects + 1
+        Sim.Stats.(incr t.ctx.stats pmap_protects)
       end)
     t.ptes
 
@@ -144,8 +141,7 @@ let page_protect_all ctx page ~prot =
       | Some pte ->
           pte.prot <- Prot.intersect pte.prot prot;
           Sim.Simclock.advance ctx.clock ctx.costs.Sim.Cost_model.pmap_protect;
-          ctx.stats.Sim.Stats.pmap_protects <-
-            ctx.stats.Sim.Stats.pmap_protects + 1)
+          Sim.Stats.(incr ctx.stats pmap_protects))
     (mappings_of_page ctx page)
 
 let is_referenced (page : Physmem.Page.t) = page.referenced

@@ -44,8 +44,7 @@ let inject t ~op ~slots =
   | Some plan -> (
       match Fault_plan.check plan ~op ~slots with
       | Some _ as e ->
-          t.stats.Stats.io_errors_injected <-
-            t.stats.Stats.io_errors_injected + 1;
+          Stats.(incr t.stats io_errors_injected);
           e
       | None -> None)
 
@@ -53,25 +52,24 @@ let read ?sequential ?(slots = []) t ~npages =
   if npages < 1 then invalid_arg "Disk.read: npages must be >= 1";
   Simclock.advance t.clock (transfer_cost ?sequential t npages);
   t.read_ops <- t.read_ops + 1;
-  t.stats.Stats.disk_read_ops <- t.stats.Stats.disk_read_ops + 1;
+  Stats.(incr t.stats disk_read_ops);
   match inject t ~op:Fault_plan.Read ~slots with
   | Some e -> Error e
   | None ->
       t.pages_read <- t.pages_read + npages;
-      t.stats.Stats.disk_pages_read <- t.stats.Stats.disk_pages_read + npages;
+      Stats.(bump t.stats disk_pages_read npages);
       Ok ()
 
 let write ?(slots = []) t ~npages =
   if npages < 1 then invalid_arg "Disk.write: npages must be >= 1";
   Simclock.advance t.clock (transfer_cost t npages);
   t.write_ops <- t.write_ops + 1;
-  t.stats.Stats.disk_write_ops <- t.stats.Stats.disk_write_ops + 1;
+  Stats.(incr t.stats disk_write_ops);
   match inject t ~op:Fault_plan.Write ~slots with
   | Some e -> Error e
   | None ->
       t.pages_written <- t.pages_written + npages;
-      t.stats.Stats.disk_pages_written <-
-        t.stats.Stats.disk_pages_written + npages;
+      Stats.(bump t.stats disk_pages_written npages);
       Ok ()
 
 let read_ops t = t.read_ops

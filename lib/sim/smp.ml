@@ -46,6 +46,7 @@ type t = {
   clock : Simclock.t;
   costs : Cost_model.t;
   stats : Stats.t;  (* the machine's global counters *)
+  before : Stats.t;  (* [stats] at the start of the quantum in flight *)
   locks : Lockstat.t option;
   rng : Rng.t;
   cpus : cpu array;
@@ -63,6 +64,7 @@ let create ?(seed = 1) ~cpus ~clock ~costs ~stats ?locks () =
     clock;
     costs;
     stats;
+    before = Stats.create ();
     locks;
     rng = Rng.create ~seed;
     cpus =
@@ -151,7 +153,7 @@ let observe t (ev : Lockstat.contention_event) =
           Simclock.advance t.clock t.costs.Cost_model.line_bounce;
           cpu.c_bounces <- cpu.c_bounces + 1;
           bump_i cpu.c_bounce_by cls;
-          t.stats.Stats.line_bounces <- t.stats.Stats.line_bounces + 1
+          Stats.(incr t.stats line_bounces)
         end;
         let v = vnow t in
         (* Raw overlap is end-of-blocking-hold minus now; but the CPUs'
@@ -175,7 +177,7 @@ let observe t (ev : Lockstat.contention_event) =
           Simclock.advance t.clock wait;
           cpu.c_wait_us <- cpu.c_wait_us +. wait;
           bump_f cpu.c_wait_by cls wait;
-          t.stats.Stats.lock_wait_us <- t.stats.Stats.lock_wait_us +. wait
+          Stats.(add_us t.stats lock_wait_us wait)
         end;
         st.i_acq_v <- vnow t
     | Lockstat.Released { cls; inst; mode; root = _ } ->
@@ -212,7 +214,7 @@ let run_quantum t cpu_idx =
   t.running <- cpu_idx;
   t.q_m0 <- Simclock.now t.clock;
   t.q_v0 <- cpu.c_now;
-  let before = Stats.snapshot t.stats in
+  Stats.blit ~src:t.stats ~dst:t.before;
   let alive =
     Fun.protect
       ~finally:(fun () ->
@@ -220,8 +222,7 @@ let run_quantum t cpu_idx =
         cpu.c_now <- cpu.c_now +. (Simclock.now t.clock -. t.q_m0);
         cpu.c_quanta <- cpu.c_quanta + 1;
         t.quanta <- t.quanta + 1;
-        Stats.add ~into:cpu.c_stats
-          (Stats.diff ~after:(Stats.snapshot t.stats) ~before))
+        Stats.add_delta ~into:cpu.c_stats ~after:t.stats ~before:t.before)
       (fun () -> task.t_step task.t_steps)
   in
   task.t_steps <- task.t_steps + 1;

@@ -72,7 +72,10 @@ type cpu_view = {
   cv_cpu : int;
   cv_now_us : float;  (** the CPU's virtual clock *)
   cv_quanta : int;
-  cv_stats : Stats.t;  (** shard: quantum deltas of the machine counters *)
+  cv_stats : Stats.t;
+      (** shard: the sum of this CPU's quantum deltas of the machine
+          counters; a gauge reads as the net change of its level while
+          this CPU ran *)
   cv_wait_us : float;  (** contention wait charged on this CPU *)
   cv_bounces : int;  (** cache-line bounces charged on this CPU *)
   cv_wait_by_class : (string * float) list;  (** lock class → wait µs *)

@@ -1,501 +1,160 @@
-type t = {
-  mutable faults : int;
-  mutable fault_ahead_mapped : int;
-  mutable fault_ahead_used : int;
-  mutable fault_ahead_wasted : int;
-  mutable pageins : int;
-  mutable pageouts : int;
-  mutable disk_read_ops : int;
-  mutable disk_write_ops : int;
-  mutable disk_pages_read : int;
-  mutable disk_pages_written : int;
-  mutable pages_copied : int;
-  mutable pages_zeroed : int;
-  mutable map_entries_allocated : int;
-  mutable map_entries_freed : int;
-  mutable objects_allocated : int;
-  mutable pager_structs_allocated : int;
-  mutable hash_lookups : int;
-  mutable collapse_attempts : int;
-  mutable collapse_successes : int;
-  mutable anons_allocated : int;
-  mutable anons_freed : int;
-  mutable amaps_allocated : int;
-  mutable amaps_freed : int;
-  mutable shadow_objects_allocated : int;
-  mutable obj_cache_hits : int;
-  mutable obj_cache_misses : int;
-  mutable obj_cache_evictions : int;
-  mutable vnode_recycles : int;
-  mutable cow_copies : int;
-  mutable cow_reuses : int;
-  mutable loanouts : int;
-  mutable pages_loaned : int;
-  mutable page_transfers : int;
-  mutable swap_slots_allocated : int;
-  mutable swap_slots_freed : int;
-  mutable pmap_enters : int;
-  mutable pmap_removes : int;
-  mutable pmap_protects : int;
-  mutable lock_acquisitions : int;
-  mutable map_lock_held_us : float;
-  mutable io_errors_injected : int;
-  mutable pageout_retries : int;
-  mutable pageouts_recovered : int;
-  mutable pageins_failed : int;
-  mutable bad_slots : int;
-  mutable swap_full_events : int;
-  mutable ipc_sends : int;
-  mutable ipc_recvs : int;
-  mutable ipc_bytes_copied : int;
-  mutable ipc_bytes_loaned : int;
-  mutable ipc_bytes_mapped : int;
-  mutable vslock_ios : int;
-  mutable swap_devices_dead : int;
-  mutable swap_failovers : int;
-  mutable swap_migrations : int;
-  mutable swap_cache_fills : int;
-  mutable swap_cache_hits : int;
-  mutable swap_cache_evictions : int;
-  mutable oom_kills : int;
-  mutable rlimit_denials : int;
-  mutable proc_swapouts : int;
-  mutable proc_swapins : int;
-  mutable reserve_grabs : int;
-  mutable lookup_fast_hits : int;
-  mutable lookup_locked : int;
-  mutable cache_alloc_hits : int;
-  mutable cache_alloc_misses : int;
-  mutable cache_refills : int;
-  mutable cache_drains : int;
-  mutable cache_steals : int;
-  mutable line_bounces : int;
-  mutable lock_wait_us : float;
-  (* Gauges: instantaneous levels, refreshed by the machine's sync hook
-     just before export or sampling (diffing them is meaningless but
-     harmless). *)
-  mutable free_pages : int;
-  mutable active_pages : int;
-  mutable inactive_pages : int;
-  mutable swap_slots_used : int;
-  mutable swapcache_pages : int;
-}
+(* The counter table.  Each counter is declared exactly once, below:
+   that line fixes its array index, its name and its position in
+   [to_rows].  Every operation is a loop over the arrays.  Durations are
+   a separate float array, so [incr] cannot reach them. *)
 
-let create () =
-  {
-    faults = 0;
-    fault_ahead_mapped = 0;
-    fault_ahead_used = 0;
-    fault_ahead_wasted = 0;
-    pageins = 0;
-    pageouts = 0;
-    disk_read_ops = 0;
-    disk_write_ops = 0;
-    disk_pages_read = 0;
-    disk_pages_written = 0;
-    pages_copied = 0;
-    pages_zeroed = 0;
-    map_entries_allocated = 0;
-    map_entries_freed = 0;
-    objects_allocated = 0;
-    pager_structs_allocated = 0;
-    hash_lookups = 0;
-    collapse_attempts = 0;
-    collapse_successes = 0;
-    anons_allocated = 0;
-    anons_freed = 0;
-    amaps_allocated = 0;
-    amaps_freed = 0;
-    shadow_objects_allocated = 0;
-    obj_cache_hits = 0;
-    obj_cache_misses = 0;
-    obj_cache_evictions = 0;
-    vnode_recycles = 0;
-    cow_copies = 0;
-    cow_reuses = 0;
-    loanouts = 0;
-    pages_loaned = 0;
-    page_transfers = 0;
-    swap_slots_allocated = 0;
-    swap_slots_freed = 0;
-    pmap_enters = 0;
-    pmap_removes = 0;
-    pmap_protects = 0;
-    lock_acquisitions = 0;
-    map_lock_held_us = 0.0;
-    io_errors_injected = 0;
-    pageout_retries = 0;
-    pageouts_recovered = 0;
-    pageins_failed = 0;
-    bad_slots = 0;
-    swap_full_events = 0;
-    ipc_sends = 0;
-    ipc_recvs = 0;
-    ipc_bytes_copied = 0;
-    ipc_bytes_loaned = 0;
-    ipc_bytes_mapped = 0;
-    vslock_ios = 0;
-    swap_devices_dead = 0;
-    swap_failovers = 0;
-    swap_migrations = 0;
-    swap_cache_fills = 0;
-    swap_cache_hits = 0;
-    swap_cache_evictions = 0;
-    oom_kills = 0;
-    rlimit_denials = 0;
-    proc_swapouts = 0;
-    proc_swapins = 0;
-    reserve_grabs = 0;
-    lookup_fast_hits = 0;
-    lookup_locked = 0;
-    cache_alloc_hits = 0;
-    cache_alloc_misses = 0;
-    cache_refills = 0;
-    cache_drains = 0;
-    cache_steals = 0;
-    line_bounces = 0;
-    lock_wait_us = 0.0;
-    free_pages = 0;
-    active_pages = 0;
-    inactive_pages = 0;
-    swap_slots_used = 0;
-    swapcache_pages = 0;
-  }
+type counter = int
+type duration = int
+type slot = Count of counter | Dur of duration
+
+(* Filled while this module initialises, then frozen into [rows]. *)
+let decls = ref []
+let ncounters = ref 0
+let ndurations = ref 0
+
+let declare n slot name =
+  let i = !n in
+  n := i + 1;
+  decls := (name, slot i) :: !decls;
+  i
+
+let counter = declare ncounters (fun i -> Count i)
+let duration = declare ndurations (fun i -> Dur i)
+
+let faults = counter "faults"
+let fault_ahead_mapped = counter "fault_ahead_mapped"
+let fault_ahead_used = counter "fault_ahead_used"
+let fault_ahead_wasted = counter "fault_ahead_wasted"
+let pageins = counter "pageins"
+let pageouts = counter "pageouts"
+let disk_read_ops = counter "disk_read_ops"
+let disk_write_ops = counter "disk_write_ops"
+let disk_pages_read = counter "disk_pages_read"
+let disk_pages_written = counter "disk_pages_written"
+let pages_copied = counter "pages_copied"
+let pages_zeroed = counter "pages_zeroed"
+let map_entries_allocated = counter "map_entries_allocated"
+let map_entries_freed = counter "map_entries_freed"
+let objects_allocated = counter "objects_allocated"
+let pager_structs_allocated = counter "pager_structs_allocated"
+let hash_lookups = counter "hash_lookups"
+let collapse_attempts = counter "collapse_attempts"
+let collapse_successes = counter "collapse_successes"
+let anons_allocated = counter "anons_allocated"
+let anons_freed = counter "anons_freed"
+let amaps_allocated = counter "amaps_allocated"
+let amaps_freed = counter "amaps_freed"
+let shadow_objects_allocated = counter "shadow_objects_allocated"
+let obj_cache_hits = counter "obj_cache_hits"
+let obj_cache_misses = counter "obj_cache_misses"
+let obj_cache_evictions = counter "obj_cache_evictions"
+let vnode_recycles = counter "vnode_recycles"
+let cow_copies = counter "cow_copies"
+let cow_reuses = counter "cow_reuses"
+let loanouts = counter "loanouts"
+let pages_loaned = counter "pages_loaned"
+let page_transfers = counter "page_transfers"
+let swap_slots_allocated = counter "swap_slots_allocated"
+let swap_slots_freed = counter "swap_slots_freed"
+let pmap_enters = counter "pmap_enters"
+let pmap_removes = counter "pmap_removes"
+let pmap_protects = counter "pmap_protects"
+let lock_acquisitions = counter "lock_acquisitions"
+let map_lock_held_us = duration "map_lock_held_us"
+let io_errors_injected = counter "io_errors_injected"
+let pageout_retries = counter "pageout_retries"
+let pageouts_recovered = counter "pageouts_recovered"
+let pageins_failed = counter "pageins_failed"
+let bad_slots = counter "bad_slots"
+let swap_full_events = counter "swap_full_events"
+let ipc_sends = counter "ipc_sends"
+let ipc_recvs = counter "ipc_recvs"
+let ipc_bytes_copied = counter "ipc_bytes_copied"
+let ipc_bytes_loaned = counter "ipc_bytes_loaned"
+let ipc_bytes_mapped = counter "ipc_bytes_mapped"
+let vslock_ios = counter "vslock_ios"
+let swap_devices_dead = counter "swap_devices_dead"
+let swap_failovers = counter "swap_failovers"
+let swap_migrations = counter "swap_migrations"
+let swap_cache_fills = counter "swap_cache_fills"
+let swap_cache_hits = counter "swap_cache_hits"
+let swap_cache_evictions = counter "swap_cache_evictions"
+let oom_kills = counter "oom_kills"
+let rlimit_denials = counter "rlimit_denials"
+let proc_swapouts = counter "proc_swapouts"
+let proc_swapins = counter "proc_swapins"
+let reserve_grabs = counter "reserve_grabs"
+let lookup_fast_hits = counter "lookup_fast_hits"
+let lookup_locked = counter "lookup_locked"
+let cache_alloc_hits = counter "cache_alloc_hits"
+let cache_alloc_misses = counter "cache_alloc_misses"
+let cache_refills = counter "cache_refills"
+let cache_drains = counter "cache_drains"
+let cache_steals = counter "cache_steals"
+let line_bounces = counter "line_bounces"
+let lock_wait_us = duration "lock_wait_us"
+(* Gauges: levels that the machine's sync hook [set]s. *)
+let free_pages = counter "free_pages"
+let active_pages = counter "active_pages"
+let inactive_pages = counter "inactive_pages"
+let swap_slots_used = counter "swap_slots_used"
+let swapcache_pages = counter "swapcache_pages"
+
+let rows = List.rev !decls
+let nc = !ncounters
+let nd = !ndurations
+
+let counters = List.init nc Fun.id
+let durations = List.init nd Fun.id
+
+(* Counter indexes rise in declaration order, so filtering keeps them. *)
+let names =
+  Array.of_list
+    (List.filter_map (function n, Count _ -> Some n | _, Dur _ -> None) rows)
+
+let name c = names.(c)
+
+type t = { counts : int array; us : float array }
+
+let create () = { counts = Array.make nc 0; us = Array.make nd 0.0 }
 
 let reset t =
-  t.faults <- 0;
-  t.fault_ahead_mapped <- 0;
-  t.fault_ahead_used <- 0;
-  t.fault_ahead_wasted <- 0;
-  t.pageins <- 0;
-  t.pageouts <- 0;
-  t.disk_read_ops <- 0;
-  t.disk_write_ops <- 0;
-  t.disk_pages_read <- 0;
-  t.disk_pages_written <- 0;
-  t.pages_copied <- 0;
-  t.pages_zeroed <- 0;
-  t.map_entries_allocated <- 0;
-  t.map_entries_freed <- 0;
-  t.objects_allocated <- 0;
-  t.pager_structs_allocated <- 0;
-  t.hash_lookups <- 0;
-  t.collapse_attempts <- 0;
-  t.collapse_successes <- 0;
-  t.anons_allocated <- 0;
-  t.anons_freed <- 0;
-  t.amaps_allocated <- 0;
-  t.amaps_freed <- 0;
-  t.shadow_objects_allocated <- 0;
-  t.obj_cache_hits <- 0;
-  t.obj_cache_misses <- 0;
-  t.obj_cache_evictions <- 0;
-  t.vnode_recycles <- 0;
-  t.cow_copies <- 0;
-  t.cow_reuses <- 0;
-  t.loanouts <- 0;
-  t.pages_loaned <- 0;
-  t.page_transfers <- 0;
-  t.swap_slots_allocated <- 0;
-  t.swap_slots_freed <- 0;
-  t.pmap_enters <- 0;
-  t.pmap_removes <- 0;
-  t.pmap_protects <- 0;
-  t.lock_acquisitions <- 0;
-  t.map_lock_held_us <- 0.0;
-  t.io_errors_injected <- 0;
-  t.pageout_retries <- 0;
-  t.pageouts_recovered <- 0;
-  t.pageins_failed <- 0;
-  t.bad_slots <- 0;
-  t.swap_full_events <- 0;
-  t.ipc_sends <- 0;
-  t.ipc_recvs <- 0;
-  t.ipc_bytes_copied <- 0;
-  t.ipc_bytes_loaned <- 0;
-  t.ipc_bytes_mapped <- 0;
-  t.vslock_ios <- 0;
-  t.swap_devices_dead <- 0;
-  t.swap_failovers <- 0;
-  t.swap_migrations <- 0;
-  t.swap_cache_fills <- 0;
-  t.swap_cache_hits <- 0;
-  t.swap_cache_evictions <- 0;
-  t.oom_kills <- 0;
-  t.rlimit_denials <- 0;
-  t.proc_swapouts <- 0;
-  t.proc_swapins <- 0;
-  t.reserve_grabs <- 0;
-  t.lookup_fast_hits <- 0;
-  t.lookup_locked <- 0;
-  t.cache_alloc_hits <- 0;
-  t.cache_alloc_misses <- 0;
-  t.cache_refills <- 0;
-  t.cache_drains <- 0;
-  t.cache_steals <- 0;
-  t.line_bounces <- 0;
-  t.lock_wait_us <- 0.0;
-  t.free_pages <- 0;
-  t.active_pages <- 0;
-  t.inactive_pages <- 0;
-  t.swap_slots_used <- 0;
-  t.swapcache_pages <- 0
+  Array.fill t.counts 0 nc 0;
+  Array.fill t.us 0 nd 0.0
 
-let snapshot t = { t with faults = t.faults }
+let snapshot t = { counts = Array.copy t.counts; us = Array.copy t.us }
+
+let blit ~src ~dst =
+  Array.blit src.counts 0 dst.counts 0 nc;
+  Array.blit src.us 0 dst.us 0 nd
+
+let incr t c = t.counts.(c) <- t.counts.(c) + 1
+let bump t c n = t.counts.(c) <- t.counts.(c) + n
+let get t c = t.counts.(c)
+let set t c v = t.counts.(c) <- v
+let add_us t d us = t.us.(d) <- t.us.(d) +. us
+let get_us t d = t.us.(d)
+
+let add_delta ~into ~after ~before =
+  for i = 0 to nc - 1 do
+    into.counts.(i) <- into.counts.(i) + (after.counts.(i) - before.counts.(i))
+  done;
+  for i = 0 to nd - 1 do
+    into.us.(i) <- into.us.(i) +. (after.us.(i) -. before.us.(i))
+  done
+
+(* Never written: the [before] of a plain [add]. *)
+let zero = create ()
+let add ~into d = add_delta ~into ~after:d ~before:zero
 
 let diff ~after ~before =
-  {
-    faults = after.faults - before.faults;
-    fault_ahead_mapped = after.fault_ahead_mapped - before.fault_ahead_mapped;
-    fault_ahead_used = after.fault_ahead_used - before.fault_ahead_used;
-    fault_ahead_wasted = after.fault_ahead_wasted - before.fault_ahead_wasted;
-    pageins = after.pageins - before.pageins;
-    pageouts = after.pageouts - before.pageouts;
-    disk_read_ops = after.disk_read_ops - before.disk_read_ops;
-    disk_write_ops = after.disk_write_ops - before.disk_write_ops;
-    disk_pages_read = after.disk_pages_read - before.disk_pages_read;
-    disk_pages_written = after.disk_pages_written - before.disk_pages_written;
-    pages_copied = after.pages_copied - before.pages_copied;
-    pages_zeroed = after.pages_zeroed - before.pages_zeroed;
-    map_entries_allocated =
-      after.map_entries_allocated - before.map_entries_allocated;
-    map_entries_freed = after.map_entries_freed - before.map_entries_freed;
-    objects_allocated = after.objects_allocated - before.objects_allocated;
-    pager_structs_allocated =
-      after.pager_structs_allocated - before.pager_structs_allocated;
-    hash_lookups = after.hash_lookups - before.hash_lookups;
-    collapse_attempts = after.collapse_attempts - before.collapse_attempts;
-    collapse_successes = after.collapse_successes - before.collapse_successes;
-    anons_allocated = after.anons_allocated - before.anons_allocated;
-    anons_freed = after.anons_freed - before.anons_freed;
-    amaps_allocated = after.amaps_allocated - before.amaps_allocated;
-    amaps_freed = after.amaps_freed - before.amaps_freed;
-    shadow_objects_allocated =
-      after.shadow_objects_allocated - before.shadow_objects_allocated;
-    obj_cache_hits = after.obj_cache_hits - before.obj_cache_hits;
-    obj_cache_misses = after.obj_cache_misses - before.obj_cache_misses;
-    obj_cache_evictions = after.obj_cache_evictions - before.obj_cache_evictions;
-    vnode_recycles = after.vnode_recycles - before.vnode_recycles;
-    cow_copies = after.cow_copies - before.cow_copies;
-    cow_reuses = after.cow_reuses - before.cow_reuses;
-    loanouts = after.loanouts - before.loanouts;
-    pages_loaned = after.pages_loaned - before.pages_loaned;
-    page_transfers = after.page_transfers - before.page_transfers;
-    swap_slots_allocated =
-      after.swap_slots_allocated - before.swap_slots_allocated;
-    swap_slots_freed = after.swap_slots_freed - before.swap_slots_freed;
-    pmap_enters = after.pmap_enters - before.pmap_enters;
-    pmap_removes = after.pmap_removes - before.pmap_removes;
-    pmap_protects = after.pmap_protects - before.pmap_protects;
-    lock_acquisitions = after.lock_acquisitions - before.lock_acquisitions;
-    map_lock_held_us = after.map_lock_held_us -. before.map_lock_held_us;
-    io_errors_injected = after.io_errors_injected - before.io_errors_injected;
-    pageout_retries = after.pageout_retries - before.pageout_retries;
-    pageouts_recovered = after.pageouts_recovered - before.pageouts_recovered;
-    pageins_failed = after.pageins_failed - before.pageins_failed;
-    bad_slots = after.bad_slots - before.bad_slots;
-    swap_full_events = after.swap_full_events - before.swap_full_events;
-    ipc_sends = after.ipc_sends - before.ipc_sends;
-    ipc_recvs = after.ipc_recvs - before.ipc_recvs;
-    ipc_bytes_copied = after.ipc_bytes_copied - before.ipc_bytes_copied;
-    ipc_bytes_loaned = after.ipc_bytes_loaned - before.ipc_bytes_loaned;
-    ipc_bytes_mapped = after.ipc_bytes_mapped - before.ipc_bytes_mapped;
-    vslock_ios = after.vslock_ios - before.vslock_ios;
-    swap_devices_dead = after.swap_devices_dead - before.swap_devices_dead;
-    swap_failovers = after.swap_failovers - before.swap_failovers;
-    swap_migrations = after.swap_migrations - before.swap_migrations;
-    swap_cache_fills = after.swap_cache_fills - before.swap_cache_fills;
-    swap_cache_hits = after.swap_cache_hits - before.swap_cache_hits;
-    swap_cache_evictions =
-      after.swap_cache_evictions - before.swap_cache_evictions;
-    oom_kills = after.oom_kills - before.oom_kills;
-    rlimit_denials = after.rlimit_denials - before.rlimit_denials;
-    proc_swapouts = after.proc_swapouts - before.proc_swapouts;
-    proc_swapins = after.proc_swapins - before.proc_swapins;
-    reserve_grabs = after.reserve_grabs - before.reserve_grabs;
-    lookup_fast_hits = after.lookup_fast_hits - before.lookup_fast_hits;
-    lookup_locked = after.lookup_locked - before.lookup_locked;
-    cache_alloc_hits = after.cache_alloc_hits - before.cache_alloc_hits;
-    cache_alloc_misses = after.cache_alloc_misses - before.cache_alloc_misses;
-    cache_refills = after.cache_refills - before.cache_refills;
-    cache_drains = after.cache_drains - before.cache_drains;
-    cache_steals = after.cache_steals - before.cache_steals;
-    line_bounces = after.line_bounces - before.line_bounces;
-    lock_wait_us = after.lock_wait_us -. before.lock_wait_us;
-    free_pages = after.free_pages - before.free_pages;
-    active_pages = after.active_pages - before.active_pages;
-    inactive_pages = after.inactive_pages - before.inactive_pages;
-    swap_slots_used = after.swap_slots_used - before.swap_slots_used;
-    swapcache_pages = after.swapcache_pages - before.swapcache_pages;
-  }
-
-(* Accumulate [d] (typically a [diff] of a scheduler quantum) into a
-   per-CPU shard.  Counters and durations sum; gauges are levels, so the
-   latest value wins — shard readers only ever consult the counters. *)
-let add ~into:t d =
-  t.faults <- t.faults + d.faults;
-  t.fault_ahead_mapped <- t.fault_ahead_mapped + d.fault_ahead_mapped;
-  t.fault_ahead_used <- t.fault_ahead_used + d.fault_ahead_used;
-  t.fault_ahead_wasted <- t.fault_ahead_wasted + d.fault_ahead_wasted;
-  t.pageins <- t.pageins + d.pageins;
-  t.pageouts <- t.pageouts + d.pageouts;
-  t.disk_read_ops <- t.disk_read_ops + d.disk_read_ops;
-  t.disk_write_ops <- t.disk_write_ops + d.disk_write_ops;
-  t.disk_pages_read <- t.disk_pages_read + d.disk_pages_read;
-  t.disk_pages_written <- t.disk_pages_written + d.disk_pages_written;
-  t.pages_copied <- t.pages_copied + d.pages_copied;
-  t.pages_zeroed <- t.pages_zeroed + d.pages_zeroed;
-  t.map_entries_allocated <- t.map_entries_allocated + d.map_entries_allocated;
-  t.map_entries_freed <- t.map_entries_freed + d.map_entries_freed;
-  t.objects_allocated <- t.objects_allocated + d.objects_allocated;
-  t.pager_structs_allocated <-
-    t.pager_structs_allocated + d.pager_structs_allocated;
-  t.hash_lookups <- t.hash_lookups + d.hash_lookups;
-  t.collapse_attempts <- t.collapse_attempts + d.collapse_attempts;
-  t.collapse_successes <- t.collapse_successes + d.collapse_successes;
-  t.anons_allocated <- t.anons_allocated + d.anons_allocated;
-  t.anons_freed <- t.anons_freed + d.anons_freed;
-  t.amaps_allocated <- t.amaps_allocated + d.amaps_allocated;
-  t.amaps_freed <- t.amaps_freed + d.amaps_freed;
-  t.shadow_objects_allocated <-
-    t.shadow_objects_allocated + d.shadow_objects_allocated;
-  t.obj_cache_hits <- t.obj_cache_hits + d.obj_cache_hits;
-  t.obj_cache_misses <- t.obj_cache_misses + d.obj_cache_misses;
-  t.obj_cache_evictions <- t.obj_cache_evictions + d.obj_cache_evictions;
-  t.vnode_recycles <- t.vnode_recycles + d.vnode_recycles;
-  t.cow_copies <- t.cow_copies + d.cow_copies;
-  t.cow_reuses <- t.cow_reuses + d.cow_reuses;
-  t.loanouts <- t.loanouts + d.loanouts;
-  t.pages_loaned <- t.pages_loaned + d.pages_loaned;
-  t.page_transfers <- t.page_transfers + d.page_transfers;
-  t.swap_slots_allocated <- t.swap_slots_allocated + d.swap_slots_allocated;
-  t.swap_slots_freed <- t.swap_slots_freed + d.swap_slots_freed;
-  t.pmap_enters <- t.pmap_enters + d.pmap_enters;
-  t.pmap_removes <- t.pmap_removes + d.pmap_removes;
-  t.pmap_protects <- t.pmap_protects + d.pmap_protects;
-  t.lock_acquisitions <- t.lock_acquisitions + d.lock_acquisitions;
-  t.map_lock_held_us <- t.map_lock_held_us +. d.map_lock_held_us;
-  t.io_errors_injected <- t.io_errors_injected + d.io_errors_injected;
-  t.pageout_retries <- t.pageout_retries + d.pageout_retries;
-  t.pageouts_recovered <- t.pageouts_recovered + d.pageouts_recovered;
-  t.pageins_failed <- t.pageins_failed + d.pageins_failed;
-  t.bad_slots <- t.bad_slots + d.bad_slots;
-  t.swap_full_events <- t.swap_full_events + d.swap_full_events;
-  t.ipc_sends <- t.ipc_sends + d.ipc_sends;
-  t.ipc_recvs <- t.ipc_recvs + d.ipc_recvs;
-  t.ipc_bytes_copied <- t.ipc_bytes_copied + d.ipc_bytes_copied;
-  t.ipc_bytes_loaned <- t.ipc_bytes_loaned + d.ipc_bytes_loaned;
-  t.ipc_bytes_mapped <- t.ipc_bytes_mapped + d.ipc_bytes_mapped;
-  t.vslock_ios <- t.vslock_ios + d.vslock_ios;
-  t.swap_devices_dead <- t.swap_devices_dead + d.swap_devices_dead;
-  t.swap_failovers <- t.swap_failovers + d.swap_failovers;
-  t.swap_migrations <- t.swap_migrations + d.swap_migrations;
-  t.swap_cache_fills <- t.swap_cache_fills + d.swap_cache_fills;
-  t.swap_cache_hits <- t.swap_cache_hits + d.swap_cache_hits;
-  t.swap_cache_evictions <- t.swap_cache_evictions + d.swap_cache_evictions;
-  t.oom_kills <- t.oom_kills + d.oom_kills;
-  t.rlimit_denials <- t.rlimit_denials + d.rlimit_denials;
-  t.proc_swapouts <- t.proc_swapouts + d.proc_swapouts;
-  t.proc_swapins <- t.proc_swapins + d.proc_swapins;
-  t.reserve_grabs <- t.reserve_grabs + d.reserve_grabs;
-  t.lookup_fast_hits <- t.lookup_fast_hits + d.lookup_fast_hits;
-  t.lookup_locked <- t.lookup_locked + d.lookup_locked;
-  t.cache_alloc_hits <- t.cache_alloc_hits + d.cache_alloc_hits;
-  t.cache_alloc_misses <- t.cache_alloc_misses + d.cache_alloc_misses;
-  t.cache_refills <- t.cache_refills + d.cache_refills;
-  t.cache_drains <- t.cache_drains + d.cache_drains;
-  t.cache_steals <- t.cache_steals + d.cache_steals;
-  t.line_bounces <- t.line_bounces + d.line_bounces;
-  t.lock_wait_us <- t.lock_wait_us +. d.lock_wait_us;
-  t.free_pages <- d.free_pages;
-  t.active_pages <- d.active_pages;
-  t.inactive_pages <- d.inactive_pages;
-  t.swap_slots_used <- d.swap_slots_used;
-  t.swapcache_pages <- d.swapcache_pages
+  let d = create () in
+  add_delta ~into:d ~after ~before;
+  d
 
 let to_rows t =
-  [
-    ("faults", float_of_int t.faults);
-    ("fault_ahead_mapped", float_of_int t.fault_ahead_mapped);
-    ("fault_ahead_used", float_of_int t.fault_ahead_used);
-    ("fault_ahead_wasted", float_of_int t.fault_ahead_wasted);
-    ("pageins", float_of_int t.pageins);
-    ("pageouts", float_of_int t.pageouts);
-    ("disk_read_ops", float_of_int t.disk_read_ops);
-    ("disk_write_ops", float_of_int t.disk_write_ops);
-    ("disk_pages_read", float_of_int t.disk_pages_read);
-    ("disk_pages_written", float_of_int t.disk_pages_written);
-    ("pages_copied", float_of_int t.pages_copied);
-    ("pages_zeroed", float_of_int t.pages_zeroed);
-    ("map_entries_allocated", float_of_int t.map_entries_allocated);
-    ("map_entries_freed", float_of_int t.map_entries_freed);
-    ("objects_allocated", float_of_int t.objects_allocated);
-    ("pager_structs_allocated", float_of_int t.pager_structs_allocated);
-    ("hash_lookups", float_of_int t.hash_lookups);
-    ("collapse_attempts", float_of_int t.collapse_attempts);
-    ("collapse_successes", float_of_int t.collapse_successes);
-    ("anons_allocated", float_of_int t.anons_allocated);
-    ("anons_freed", float_of_int t.anons_freed);
-    ("amaps_allocated", float_of_int t.amaps_allocated);
-    ("amaps_freed", float_of_int t.amaps_freed);
-    ("shadow_objects_allocated", float_of_int t.shadow_objects_allocated);
-    ("obj_cache_hits", float_of_int t.obj_cache_hits);
-    ("obj_cache_misses", float_of_int t.obj_cache_misses);
-    ("obj_cache_evictions", float_of_int t.obj_cache_evictions);
-    ("vnode_recycles", float_of_int t.vnode_recycles);
-    ("cow_copies", float_of_int t.cow_copies);
-    ("cow_reuses", float_of_int t.cow_reuses);
-    ("loanouts", float_of_int t.loanouts);
-    ("pages_loaned", float_of_int t.pages_loaned);
-    ("page_transfers", float_of_int t.page_transfers);
-    ("swap_slots_allocated", float_of_int t.swap_slots_allocated);
-    ("swap_slots_freed", float_of_int t.swap_slots_freed);
-    ("pmap_enters", float_of_int t.pmap_enters);
-    ("pmap_removes", float_of_int t.pmap_removes);
-    ("pmap_protects", float_of_int t.pmap_protects);
-    ("lock_acquisitions", float_of_int t.lock_acquisitions);
-    ("map_lock_held_us", t.map_lock_held_us);
-    ("io_errors_injected", float_of_int t.io_errors_injected);
-    ("pageout_retries", float_of_int t.pageout_retries);
-    ("pageouts_recovered", float_of_int t.pageouts_recovered);
-    ("pageins_failed", float_of_int t.pageins_failed);
-    ("bad_slots", float_of_int t.bad_slots);
-    ("swap_full_events", float_of_int t.swap_full_events);
-    ("ipc_sends", float_of_int t.ipc_sends);
-    ("ipc_recvs", float_of_int t.ipc_recvs);
-    ("ipc_bytes_copied", float_of_int t.ipc_bytes_copied);
-    ("ipc_bytes_loaned", float_of_int t.ipc_bytes_loaned);
-    ("ipc_bytes_mapped", float_of_int t.ipc_bytes_mapped);
-    ("vslock_ios", float_of_int t.vslock_ios);
-    ("swap_devices_dead", float_of_int t.swap_devices_dead);
-    ("swap_failovers", float_of_int t.swap_failovers);
-    ("swap_migrations", float_of_int t.swap_migrations);
-    ("swap_cache_fills", float_of_int t.swap_cache_fills);
-    ("swap_cache_hits", float_of_int t.swap_cache_hits);
-    ("swap_cache_evictions", float_of_int t.swap_cache_evictions);
-    ("oom_kills", float_of_int t.oom_kills);
-    ("rlimit_denials", float_of_int t.rlimit_denials);
-    ("proc_swapouts", float_of_int t.proc_swapouts);
-    ("proc_swapins", float_of_int t.proc_swapins);
-    ("reserve_grabs", float_of_int t.reserve_grabs);
-    ("lookup_fast_hits", float_of_int t.lookup_fast_hits);
-    ("lookup_locked", float_of_int t.lookup_locked);
-    ("cache_alloc_hits", float_of_int t.cache_alloc_hits);
-    ("cache_alloc_misses", float_of_int t.cache_alloc_misses);
-    ("cache_refills", float_of_int t.cache_refills);
-    ("cache_drains", float_of_int t.cache_drains);
-    ("cache_steals", float_of_int t.cache_steals);
-    ("line_bounces", float_of_int t.line_bounces);
-    ("lock_wait_us", t.lock_wait_us);
-    ("free_pages", float_of_int t.free_pages);
-    ("active_pages", float_of_int t.active_pages);
-    ("inactive_pages", float_of_int t.inactive_pages);
-    ("swap_slots_used", float_of_int t.swap_slots_used);
-    ("swapcache_pages", float_of_int t.swapcache_pages);
-  ]
-
-let pp ppf t =
-  List.iter
-    (fun (name, v) ->
-      if v <> 0.0 then Format.fprintf ppf "%-28s %12.1f@." name v)
-    (to_rows t)
+  List.map
+    (function
+      | n, Count i -> (n, float_of_int t.counts.(i))
+      | n, Dur i -> (n, t.us.(i)))
+    rows

@@ -286,15 +286,9 @@ let aggregate sources =
         match group with
         | [] -> []
         | first :: rest ->
-            List.fold_left
-              (fun acc s ->
-                List.map2
-                  (fun (name, v) (name', v') ->
-                    assert (name = name');
-                    (name, v +. v'))
-                  acc
-                  (Stats.to_rows s.stats))
-              (Stats.to_rows first.stats) rest
+            let sum = Stats.snapshot first.stats in
+            List.iter (fun s -> Stats.add ~into:sum s.stats) rest;
+            Stats.to_rows sum
       in
       let hset = Histogram.create_set () in
       List.iter

@@ -73,8 +73,7 @@ let alloc_slots t ~n =
   let r = Swapmap.alloc t.map ~n in
   (match r with
   | Some _ ->
-      t.stats.Sim.Stats.swap_slots_allocated <-
-        t.stats.Sim.Stats.swap_slots_allocated + n
+      Sim.Stats.(bump t.stats swap_slots_allocated n)
   | None -> ());
   r
 
@@ -83,14 +82,14 @@ let free_slots t ~slot ~n =
   for i = slot to slot + n - 1 do
     Hashtbl.remove t.store i
   done;
-  t.stats.Sim.Stats.swap_slots_freed <- t.stats.Sim.Stats.swap_slots_freed + n
+  Sim.Stats.(bump t.stats swap_slots_freed n)
 
 let mark_bad t ~slot =
   if not (Swapmap.is_bad t.map ~slot) then begin
     Swapmap.mark_bad t.map ~slot;
     (* Whatever the bad slot held is unreadable now. *)
     Hashtbl.remove t.store slot;
-    t.stats.Sim.Stats.bad_slots <- t.stats.Sim.Stats.bad_slots + 1;
+    Sim.Stats.(incr t.stats bad_slots);
     trace_instant t ~slot "slot_bad"
   end
 
@@ -117,7 +116,7 @@ let write_cluster t ~slot ~pages =
             Hashtbl.replace t.store (slot + i) (Bytes.copy page.data);
             page.dirty <- false)
           pages;
-        t.stats.Sim.Stats.pageouts <- t.stats.Sim.Stats.pageouts + n;
+        Sim.Stats.(bump t.stats pageouts n);
         Ok ()
   in
   trace_span t ~t0 ~slot ~n ~result:(result_of r) "swap_write";
@@ -134,7 +133,7 @@ let read_slot t ~slot ~dst =
         | Ok () ->
             Bytes.blit data 0 dst.Physmem.Page.data 0 t.page_size;
             dst.Physmem.Page.dirty <- false;
-            t.stats.Sim.Stats.pageins <- t.stats.Sim.Stats.pageins + 1;
+            Sim.Stats.(incr t.stats pageins);
             Ok ()
       in
       trace_span t ~t0 ~slot ~n:1 ~result:(result_of r) "swap_read";
@@ -161,7 +160,7 @@ let read_cluster t ~slot ~dsts =
             Bytes.blit data 0 dst.Physmem.Page.data 0 t.page_size;
             dst.Physmem.Page.dirty <- false)
           datas dsts;
-        t.stats.Sim.Stats.pageins <- t.stats.Sim.Stats.pageins + n;
+        Sim.Stats.(bump t.stats pageins n);
         Ok ()
   in
   trace_span t ~t0 ~slot ~n ~result:(result_of r) "swap_read";
@@ -240,14 +239,12 @@ let write_resilient t ~retries ~backoff_us ~slot ~assign ~pages =
     match write_cluster t ~slot:base ~pages with
     | Ok () ->
         if !recovered then
-          t.stats.Sim.Stats.pageouts_recovered <-
-            t.stats.Sim.Stats.pageouts_recovered + 1;
+          Sim.Stats.(incr t.stats pageouts_recovered);
         !outcome
     | Error e -> (
         match e.Sim.Fault_plan.severity with
         | Sim.Fault_plan.Transient when attempt < retries ->
-            t.stats.Sim.Stats.pageout_retries <-
-              t.stats.Sim.Stats.pageout_retries + 1;
+            Sim.Stats.(incr t.stats pageout_retries);
             Sim.Simclock.advance t.clock (backoff_delay ~backoff_us attempt);
             recovered := true;
             go base (attempt + 1)
@@ -264,8 +261,7 @@ let write_resilient t ~retries ~backoff_us ~slot ~assign ~pages =
             mark_bad t ~slot:bad;
             match alloc_slots t ~n with
             | None ->
-                t.stats.Sim.Stats.swap_full_events <-
-                  t.stats.Sim.Stats.swap_full_events + 1;
+                Sim.Stats.(incr t.stats swap_full_events);
                 No_space e
             | Some fresh ->
                 (* The caller rebinds its bookkeeping (anon swslots, object

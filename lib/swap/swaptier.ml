@@ -215,8 +215,7 @@ let cache_drop t ~reason key =
       Hashtbl.remove t.cache_rev g;
       let d = device_of t ~slot:g in
       Swapdev.free_slots d.dev ~slot:(g - d.base) ~n:1;
-      t.stats.Sim.Stats.swap_cache_evictions <-
-        t.stats.Sim.Stats.swap_cache_evictions + 1;
+      Sim.Stats.(incr t.stats swap_cache_evictions);
       trace_instant t
         ~detail:[ ("slot", string_of_int g); ("reason", reason) ]
         "cache_evict"
@@ -387,14 +386,12 @@ let write_resilient t ~retries ~backoff_us ~slot ~assign ~pages =
     match write_cluster t ~slot:base ~pages with
     | Ok () ->
         if !recovered then
-          t.stats.Sim.Stats.pageouts_recovered <-
-            t.stats.Sim.Stats.pageouts_recovered + 1;
+          Sim.Stats.(incr t.stats pageouts_recovered);
         !outcome
     | Error e -> (
         match e.Sim.Fault_plan.severity with
         | Sim.Fault_plan.Transient when attempt < retries ->
-            t.stats.Sim.Stats.pageout_retries <-
-              t.stats.Sim.Stats.pageout_retries + 1;
+            Sim.Stats.(incr t.stats pageout_retries);
             Sim.Simclock.advance t.clock (backoff_delay ~backoff_us attempt);
             recovered := true;
             go base (attempt + 1)
@@ -409,14 +406,12 @@ let write_resilient t ~retries ~backoff_us ~slot ~assign ~pages =
             mark_bad t ~slot:bad;
             match alloc_slots t ~n with
             | None ->
-                t.stats.Sim.Stats.swap_full_events <-
-                  t.stats.Sim.Stats.swap_full_events + 1;
+                Sim.Stats.(incr t.stats swap_full_events);
                 No_space e
             | Some fresh ->
                 let d' = device_of t ~slot:fresh in
                 if d'.dev_id <> d.dev_id then begin
-                  t.stats.Sim.Stats.swap_failovers <-
-                    t.stats.Sim.Stats.swap_failovers + 1;
+                  Sim.Stats.(incr t.stats swap_failovers);
                   trace_instant t
                     ~detail:
                       [
@@ -457,8 +452,7 @@ let take_offline t ~dead d =
 let kill_device t ~name =
   let d = device_exn t name in
   if d.alive then begin
-    t.stats.Sim.Stats.swap_devices_dead <-
-      t.stats.Sim.Stats.swap_devices_dead + 1;
+    Sim.Stats.(incr t.stats swap_devices_dead);
     trace_instant t ~detail:[ ("device", name) ] "device_dead";
     take_offline t ~dead:true d
   end
@@ -515,8 +509,7 @@ let migrate_data t ~slot ~src =
                 None
             | Ok () ->
                 src.d_migrated_out <- src.d_migrated_out + 1;
-                t.stats.Sim.Stats.swap_migrations <-
-                  t.stats.Sim.Stats.swap_migrations + 1;
+                Sim.Stats.(incr t.stats swap_migrations);
                 trace_instant t
                   ~detail:
                     [
@@ -590,8 +583,7 @@ let cache_put t ~vid ~pgno ~(page : Physmem.Page.t) =
                 Hashtbl.replace t.cache key g;
                 Hashtbl.replace t.cache_rev g key;
                 Queue.push key t.cache_fifo;
-                t.stats.Sim.Stats.swap_cache_fills <-
-                  t.stats.Sim.Stats.swap_cache_fills + 1;
+                Sim.Stats.(incr t.stats swap_cache_fills);
                 trace_instant t
                   ~detail:
                     [
@@ -619,8 +611,7 @@ let cache_lookup t ~vid ~pgno ~(dst : Physmem.Page.t) =
           Bytes.blit data 0 dst.Physmem.Page.data 0 t.page_size;
           dst.Physmem.Page.dirty <- false;
           d.d_pageins <- d.d_pageins + 1;
-          t.stats.Sim.Stats.swap_cache_hits <-
-            t.stats.Sim.Stats.swap_cache_hits + 1;
+          Sim.Stats.(incr t.stats swap_cache_hits);
           trace_instant t
             ~detail:
               [

@@ -11,7 +11,7 @@ type t = {
 let create sys ~nslots =
   if nslots < 1 then invalid_arg "Uvm_amap.create: nslots must be >= 1";
   let stats = Uvm_sys.stats sys in
-  stats.Sim.Stats.amaps_allocated <- stats.Sim.Stats.amaps_allocated + 1;
+  Sim.Stats.(incr stats amaps_allocated);
   Uvm_sys.charge_struct_alloc sys;
   {
     id = Uvm_sys.fresh_id sys;
@@ -99,7 +99,7 @@ let release_all sys t =
     clear_slot sys t ~slot
   done;
   let stats = Uvm_sys.stats sys in
-  stats.Sim.Stats.amaps_freed <- stats.Sim.Stats.amaps_freed + 1
+  Sim.Stats.(incr stats amaps_freed)
 
 let unref_range sys t ~slotoff ~len =
   if t.refs <= 0 then invalid_arg "Uvm_amap.unref_range: no references";

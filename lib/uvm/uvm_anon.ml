@@ -9,7 +9,7 @@ type Physmem.Page.tag += Anon_page of t
 
 let alloc sys ~zero =
   let stats = Uvm_sys.stats sys in
-  stats.Sim.Stats.anons_allocated <- stats.Sim.Stats.anons_allocated + 1;
+  Sim.Stats.(incr stats anons_allocated);
   Uvm_sys.charge_struct_alloc sys;
   let anon = { id = Uvm_sys.fresh_id sys; refs = 1; page = None; swslot = 0 } in
   let page =
@@ -22,7 +22,7 @@ let alloc sys ~zero =
 
 let alloc_empty sys =
   let stats = Uvm_sys.stats sys in
-  stats.Sim.Stats.anons_allocated <- stats.Sim.Stats.anons_allocated + 1;
+  Sim.Stats.(incr stats anons_allocated);
   Uvm_sys.charge_struct_alloc sys;
   { id = Uvm_sys.fresh_id sys; refs = 1; page = None; swslot = 0 }
 
@@ -65,7 +65,7 @@ let unref sys t =
     t.page <- None;
     set_swslot sys t 0;
     let stats = Uvm_sys.stats sys in
-    stats.Sim.Stats.anons_freed <- stats.Sim.Stats.anons_freed + 1
+    Sim.Stats.(incr stats anons_freed)
   end
 
 let is_resident t = t.page <> None
@@ -121,7 +121,7 @@ let ensure_resident sys t =
              nominally there, and a later access may be retried. *)
           Physmem.free_page (Uvm_sys.physmem sys) page;
           let stats = Uvm_sys.stats sys in
-          stats.Sim.Stats.pageins_failed <- stats.Sim.Stats.pageins_failed + 1;
+          Sim.Stats.(incr stats pageins_failed);
           Error Vmiface.Vmtypes.Pager_error)
 
 let writable_in_place t =

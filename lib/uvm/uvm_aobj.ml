@@ -72,7 +72,7 @@ let make_ops sys st obj =
            Physmem.activate physmem page
        | Error _ ->
            Physmem.free_page physmem page;
-           stats.Sim.Stats.pageins_failed <- stats.Sim.Stats.pageins_failed + 1;
+           Sim.Stats.(incr stats pageins_failed);
            status := Error Vmiface.Vmtypes.Pager_error
      end);
     match !status with
@@ -149,8 +149,7 @@ let make_ops sys st obj =
         Hashtbl.replace st.swslots pgno slot;
         write_batch_at [ page ] slot
     | None ->
-        stats.Sim.Stats.swap_full_events <-
-          stats.Sim.Stats.swap_full_events + 1;
+        Sim.Stats.(incr stats swap_full_events);
         Error Vmiface.Vmtypes.Out_of_swap
   in
   let combine acc r =
@@ -207,8 +206,7 @@ let create sys =
   let st = { swslots = Hashtbl.create 8 } in
   let obj = Uvm_object.make sys (make_ops sys st) in
   Hashtbl.replace registry obj.Uvm_object.id st;
-  (Uvm_sys.stats sys).Sim.Stats.objects_allocated <-
-    (Uvm_sys.stats sys).Sim.Stats.objects_allocated + 1;
+  Sim.Stats.(incr (Uvm_sys.stats sys) objects_allocated);
   Uvm_sys.charge_struct_alloc sys;
   obj
 

@@ -56,8 +56,7 @@ let map_neighbour map entry vpn =
           Pmap.enter map.pmap ~vpn ~page
             ~prot:(Pmap.Prot.remove_write entry.prot)
             ~wired:false;
-          (Uvm_sys.stats sys).Sim.Stats.fault_ahead_mapped <-
-            (Uvm_sys.stats sys).Sim.Stats.fault_ahead_mapped + 1;
+          Sim.Stats.(incr (Uvm_sys.stats sys) fault_ahead_mapped);
           Physmem.note_fault_ahead_mapped (Uvm_sys.physmem sys) page
             ~madv:(Vmtypes.lifecycle_madv entry.advice)
       | Some _ | None -> ())
@@ -145,7 +144,7 @@ let resolve_anon_fault map entry ~vpn ~write ~wire anon =
         if Uvm_anon.writable_in_place anon then begin
           (* Sole reference, no loans: write straight into the page — the
              optimisation BSD VM's chains cannot express (paper §5.3). *)
-          stats.Sim.Stats.cow_reuses <- stats.Sim.Stats.cow_reuses + 1;
+          Sim.Stats.(incr stats cow_reuses);
           page.Physmem.Page.dirty <- true;
           Physmem.activate physmem page;
           let transfer = wirings_to_move entry ~prev ~page ~wire in
@@ -161,7 +160,7 @@ let resolve_anon_fault map entry ~vpn ~write ~wire anon =
           Physmem.copy_data physmem ~src:page ~dst:fresh_page;
           Physmem.note_fault_in physmem fresh_page
             ~fill:Sim.Lifecycle.Fill_cow;
-          stats.Sim.Stats.cow_copies <- stats.Sim.Stats.cow_copies + 1;
+          Sim.Stats.(incr stats cow_copies);
           let transfer = wirings_to_move entry ~prev ~page:fresh_page ~wire in
           unwire_displaced map ~prev ~transfer;
           (* Replacing an anon in a *shared* amap: other sharers still map the
@@ -228,7 +227,7 @@ let resolve_object_fault map entry ~vpn ~write ~wire obj =
             Physmem.copy_data physmem ~src:page ~dst:anon_page;
             Physmem.note_fault_in physmem anon_page
               ~fill:Sim.Lifecycle.Fill_cow;
-            stats.Sim.Stats.cow_copies <- stats.Sim.Stats.cow_copies + 1;
+            Sim.Stats.(incr stats cow_copies);
             let transfer = wirings_to_move entry ~prev ~page:anon_page ~wire in
             unwire_displaced map ~prev ~transfer;
             (* Promoting into a *shared* amap changes what every sharer's
@@ -285,7 +284,7 @@ let fault map ~vpn ~access ~wire =
   let costs = Uvm_sys.costs sys in
   let t0 = Sim.Simclock.now (Uvm_sys.clock sys) in
   Uvm_sys.charge sys costs.Sim.Cost_model.fault_entry;
-  stats.Sim.Stats.faults <- stats.Sim.Stats.faults + 1;
+  Sim.Stats.(incr stats faults);
   let span = Uvm_sys.span_start sys ~subsys:"fault" "fault" in
   Uvm_map.lock map;
   (* Every exit goes through [finish], which is therefore the one place

@@ -2,8 +2,7 @@ module Vmtypes = Vmiface.Vmtypes
 open Uvm_map
 
 let clone_entry t (e : entry) =
-  (Uvm_sys.stats t.sys).Sim.Stats.map_entries_allocated <-
-    (Uvm_sys.stats t.sys).Sim.Stats.map_entries_allocated + 1;
+  Sim.Stats.(incr (Uvm_sys.stats t.sys) map_entries_allocated);
   Sim.Lifecycle.note_entry_alloc (Physmem.lifecycle (Uvm_sys.physmem t.sys));
   Uvm_sys.charge_struct_alloc t.sys;
   {
@@ -64,7 +63,7 @@ let fork_copy_wired sys parent (e : entry) (fresh : entry) =
     let anon = Uvm_anon.alloc sys ~zero:false in
     let dst = Option.get anon.Uvm_anon.page in
     Physmem.copy_data physmem ~src ~dst;
-    stats.Sim.Stats.cow_copies <- stats.Sim.Stats.cow_copies + 1;
+    Sim.Stats.(incr stats cow_copies);
     dst.Physmem.Page.dirty <- true;
     Physmem.activate physmem dst;
     anon

@@ -30,13 +30,13 @@ let loan_one map ~vpn ~wire =
       ~prot:(Pmap.Prot.remove_write Pmap.Prot.rwx);
   if wire then Physmem.wire (Uvm_sys.physmem sys) page;
   let stats = Uvm_sys.stats sys in
-  stats.Sim.Stats.pages_loaned <- stats.Sim.Stats.pages_loaned + 1;
+  Sim.Stats.(incr stats pages_loaned);
   page
 
 let to_kernel map ~vpn ~npages =
   let sys = map.Uvm_map.sys in
   let stats = Uvm_sys.stats sys in
-  stats.Sim.Stats.loanouts <- stats.Sim.Stats.loanouts + 1;
+  Sim.Stats.(incr stats loanouts);
   (* Loan setup: syscall entry plus anon/object layer preparation. *)
   Uvm_sys.charge sys
     ((Uvm_sys.costs sys).Sim.Cost_model.syscall_overhead
@@ -62,7 +62,7 @@ let finish sys t =
 let to_anons map ~vpn ~npages =
   let sys = map.Uvm_map.sys in
   let stats = Uvm_sys.stats sys in
-  stats.Sim.Stats.loanouts <- stats.Sim.Stats.loanouts + 1;
+  Sim.Stats.(incr stats loanouts);
   List.init npages (fun i ->
       let vpn = vpn + i in
       let page = resolve_page map ~vpn in
@@ -78,6 +78,6 @@ let to_anons map ~vpn ~npages =
           (* O->A: wrap the object's page in a borrowing anon. *)
           let anon = Uvm_anon.alloc_empty sys in
           page.Physmem.Page.loan_count <- page.Physmem.Page.loan_count + 1;
-          stats.Sim.Stats.pages_loaned <- stats.Sim.Stats.pages_loaned + 1;
+          Sim.Stats.(incr stats pages_loaned);
           anon.Uvm_anon.page <- Some page;
           anon)

@@ -69,8 +69,7 @@ let lock_handle t =
 let lock t =
   assert (t.locked_since = None);
   charge t (costs t).Sim.Cost_model.lock_acquire;
-  (stats t).Sim.Stats.lock_acquisitions <-
-    (stats t).Sim.Stats.lock_acquisitions + 1;
+  Sim.Stats.(incr (stats t) lock_acquisitions);
   Sim.Lockstat.acquire (Uvm_sys.locks t.sys) (lock_handle t)
     ~mode:Sim.Lockstat.Write;
   t.locked_since <- Some (Sim.Simclock.now (Uvm_sys.clock t.sys))
@@ -82,8 +81,7 @@ let unlock t =
   | None -> invalid_arg "Uvm_map.unlock: not locked"
   | Some since ->
       let held = Sim.Simclock.now (Uvm_sys.clock t.sys) -. since in
-      (stats t).Sim.Stats.map_lock_held_us <-
-        (stats t).Sim.Stats.map_lock_held_us +. held;
+      Sim.Stats.(add_us (stats t) map_lock_held_us held);
       t.locked_since <- None;
       Sim.Lockstat.release (Uvm_sys.locks t.sys) (lock_handle t)
 
@@ -107,8 +105,7 @@ let entries t =
 
 let alloc_entry t ~spage ~epage ~obj ~objoff ~amap ~amapoff ~prot ~maxprot ~inh
     ~advice ~wired ~cow ~needs_copy =
-  (stats t).Sim.Stats.map_entries_allocated <-
-    (stats t).Sim.Stats.map_entries_allocated + 1;
+  Sim.Stats.(incr (stats t) map_entries_allocated);
   Sim.Lifecycle.note_entry_alloc (lifecycle t);
   charge t (costs t).Sim.Cost_model.struct_alloc;
   {
@@ -130,8 +127,7 @@ let alloc_entry t ~spage ~epage ~obj ~objoff ~amap ~amapoff ~prot ~maxprot ~inh
   }
 
 let free_entry t (_e : entry) =
-  (stats t).Sim.Stats.map_entries_freed <-
-    (stats t).Sim.Stats.map_entries_freed + 1;
+  Sim.Stats.(incr (stats t) map_entries_freed);
   Sim.Lifecycle.note_entry_free (lifecycle t)
 
 (* Link [e] after [prev] (or at the head when [prev] is None). *)

@@ -5,8 +5,7 @@ type mode = Share | Copy | Donate
 
 let clone_entry_at t (e : entry) ~spage ~cow ~needs_copy =
   let npgs = entry_npages e in
-  (Uvm_sys.stats t.sys).Sim.Stats.map_entries_allocated <-
-    (Uvm_sys.stats t.sys).Sim.Stats.map_entries_allocated + 1;
+  Sim.Stats.(incr (Uvm_sys.stats t.sys) map_entries_allocated);
   Sim.Lifecycle.note_entry_alloc (Physmem.lifecycle (Uvm_sys.physmem t.sys));
   Uvm_sys.charge_struct_alloc t.sys;
   {
@@ -90,8 +89,7 @@ let extract ~src ~spage ~npages ~dst mode =
         picked
   | Share | Copy -> ());
   Uvm_map.unlock src;
-  (Uvm_sys.stats sys).Sim.Stats.page_transfers <-
-    (Uvm_sys.stats sys).Sim.Stats.page_transfers + 1;
+  Sim.Stats.(incr (Uvm_sys.stats sys) page_transfers);
   dst_base
 
 let import_anons ~dst ~anons ~prot =
@@ -108,6 +106,5 @@ let import_anons ~dst ~anons ~prot =
   List.iteri (fun i anon -> Uvm_amap.add sys am ~slot:i anon) anons;
   entry.amap <- Some am;
   entry.amapoff <- 0;
-  (Uvm_sys.stats sys).Sim.Stats.page_transfers <-
-    (Uvm_sys.stats sys).Sim.Stats.page_transfers + 1;
+  Sim.Stats.(incr (Uvm_sys.stats sys) page_transfers);
   spage

@@ -65,8 +65,7 @@ let flush_anon_batch sys batch =
       | None ->
           (if sys.Uvm_sys.aggressive_clustering then
              (* Wanted one contiguous run of n and could not get it. *)
-             stats.Sim.Stats.swap_full_events <-
-               stats.Sim.Stats.swap_full_events + 1);
+             Sim.Stats.(incr stats swap_full_events));
           (* BSD-style (or swap-fragmented) path: one I/O per page. *)
           Physmem.note_cluster physmem ~pages:(List.map snd batch) ~runs:n;
           List.iter
@@ -89,8 +88,7 @@ let flush_anon_batch sys batch =
               | None ->
                   (* Swap full: the page cannot be cleaned, keep it in
                      core and fall back to reclaiming clean pages. *)
-                  stats.Sim.Stats.swap_full_events <-
-                    stats.Sim.Stats.swap_full_events + 1)
+                  Sim.Stats.(incr stats swap_full_events))
             batch);
       Uvm_sys.span_finish sys span
         ~detail:

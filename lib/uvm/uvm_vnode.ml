@@ -70,7 +70,7 @@ let make_ops sys (vnode : Vfs.Vnode.t) (uvn_ref : uvn option ref) obj =
               kernel does not panic. *)
            List.iter (fun page -> Physmem.free_page physmem page) pages;
            let stats = Uvm_sys.stats sys in
-           stats.Sim.Stats.pageins_failed <- stats.Sim.Stats.pageins_failed + 1;
+           Sim.Stats.(incr stats pageins_failed);
            status := Error Vmiface.Vmtypes.Pager_error);
        Uvm_sys.span_finish sys span
          ~detail:
@@ -212,8 +212,7 @@ let attach sys (vnode : Vfs.Vnode.t) =
         (* Reviving a cached (unreferenced but in-core) object. *)
         Vfs.vref (Uvm_sys.vfs sys) vnode;
         uvn.has_vref <- true;
-        (Uvm_sys.stats sys).Sim.Stats.obj_cache_hits <-
-          (Uvm_sys.stats sys).Sim.Stats.obj_cache_hits + 1
+        Sim.Stats.(incr (Uvm_sys.stats sys) obj_cache_hits)
       end;
       obj
   | _ ->
@@ -226,8 +225,7 @@ let attach sys (vnode : Vfs.Vnode.t) =
       uvn_ref := Some uvn;
       Vfs.vref (Uvm_sys.vfs sys) vnode;
       vnode.vm_private <- Uvn uvn;
-      (Uvm_sys.stats sys).Sim.Stats.obj_cache_misses <-
-        (Uvm_sys.stats sys).Sim.Stats.obj_cache_misses + 1;
+      Sim.Stats.(incr (Uvm_sys.stats sys) obj_cache_misses);
       obj
 
 let flush _sys obj =

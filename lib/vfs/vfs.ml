@@ -61,7 +61,7 @@ let recycle t (vn : Vnode.t) =
       vn.lru_node <- None
   | None -> ());
   t.incore <- t.incore - 1;
-  t.stats.Sim.Stats.vnode_recycles <- t.stats.Sim.Stats.vnode_recycles + 1
+  Sim.Stats.(incr t.stats vnode_recycles)
 
 let make_room t =
   while t.incore >= t.max_vnodes && not (Sim.Dlist.is_empty t.free_lru) do
@@ -152,7 +152,7 @@ let read_pages t (vn : Vnode.t) ~start_page ~dsts =
           dst.Physmem.Page.dirty <- false)
         dsts;
       vn.last_read_end <- start_page + n;
-      t.stats.Sim.Stats.pageins <- t.stats.Sim.Stats.pageins + n;
+      Sim.Stats.(bump t.stats pageins n);
       Ok ()
 
 let write_pages t (vn : Vnode.t) ~start_page ~srcs =
@@ -168,5 +168,5 @@ let write_pages t (vn : Vnode.t) ~start_page ~srcs =
           if avail > 0 then Bytes.blit src.data 0 vn.data off avail;
           src.dirty <- false)
         srcs;
-      t.stats.Sim.Stats.pageouts <- t.stats.Sim.Stats.pageouts + n;
+      Sim.Stats.(bump t.stats pageouts n);
       Ok ()

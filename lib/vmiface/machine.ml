@@ -199,35 +199,34 @@ let boot ?(config = default_config) () =
   (* One source of truth for the instantaneous gauges: both the stats
      export and the sampler read them through this closure. *)
   (let sync () =
-      stats.Sim.Stats.free_pages <- Physmem.free_count t.physmem;
-      stats.Sim.Stats.active_pages <- Physmem.active_count t.physmem;
-      stats.Sim.Stats.inactive_pages <- Physmem.inactive_count t.physmem;
-      stats.Sim.Stats.swap_slots_used <- Swap.Swaptier.slots_in_use t.swap;
-      stats.Sim.Stats.swapcache_pages <- Swap.Swaptier.cache_slots t.swap
+      let open Sim.Stats in
+      set stats free_pages (Physmem.free_count t.physmem);
+      set stats active_pages (Physmem.active_count t.physmem);
+      set stats inactive_pages (Physmem.inactive_count t.physmem);
+      set stats swap_slots_used (Swap.Swaptier.slots_in_use t.swap);
+      set stats swapcache_pages (Swap.Swaptier.cache_slots t.swap)
     in
     trace_source.Sim.Trace_export.sync <- sync;
     let tier_names =
       List.map (fun ti -> ti.Swap.Swaptier.ti_name) (Swap.Swaptier.tiers t.swap)
     in
+    (* The sampled counters, named once: the gauges, then
+       drain_pending (column 5), then the flows. *)
+    let gauges =
+      Sim.Stats.
+        [ free_pages; active_pages; inactive_pages; swap_slots_used;
+          swapcache_pages ]
+    in
+    let flows =
+      Sim.Stats.
+        [ faults; pageins; pageouts; disk_pages_read; disk_pages_written;
+          swap_migrations; oom_kills; rlimit_denials; proc_swapouts;
+          proc_swapins ]
+    in
     let columns =
-      [
-        "free_pages";
-        "active_pages";
-        "inactive_pages";
-        "swap_slots_used";
-        "swapcache_pages";
-        "drain_pending";
-        "faults";
-        "pageins";
-        "pageouts";
-        "disk_pages_read";
-        "disk_pages_written";
-        "swap_migrations";
-        "oom_kills";
-        "rlimit_denials";
-        "proc_swapouts";
-        "proc_swapins";
-      ]
+      List.map Sim.Stats.name gauges
+      @ [ "drain_pending" ]
+      @ List.map Sim.Stats.name flows
       @ List.map (fun n -> "tier:" ^ n) tier_names
       @ [ "lock_acquires"; "lock_maxhold_us" ]
       @ List.map (fun c -> "lockheld:" ^ c) Sim.Lockstat.known_classes
@@ -241,25 +240,11 @@ let boot ?(config = default_config) () =
     in
     let probe () =
       sync ();
+      let level c = float_of_int (Sim.Stats.get stats c) in
       let fixed =
-        [
-          float_of_int stats.Sim.Stats.free_pages;
-          float_of_int stats.Sim.Stats.active_pages;
-          float_of_int stats.Sim.Stats.inactive_pages;
-          float_of_int stats.Sim.Stats.swap_slots_used;
-          float_of_int stats.Sim.Stats.swapcache_pages;
-          (if Swap.Swaptier.drain_pending t.swap then 1.0 else 0.0);
-          float_of_int stats.Sim.Stats.faults;
-          float_of_int stats.Sim.Stats.pageins;
-          float_of_int stats.Sim.Stats.pageouts;
-          float_of_int stats.Sim.Stats.disk_pages_read;
-          float_of_int stats.Sim.Stats.disk_pages_written;
-          float_of_int stats.Sim.Stats.swap_migrations;
-          float_of_int stats.Sim.Stats.oom_kills;
-          float_of_int stats.Sim.Stats.rlimit_denials;
-          float_of_int stats.Sim.Stats.proc_swapouts;
-          float_of_int stats.Sim.Stats.proc_swapins;
-        ]
+        List.map level gauges
+        @ [ (if Swap.Swaptier.drain_pending t.swap then 1.0 else 0.0) ]
+        @ List.map level flows
       in
       let tiers =
         List.map
@@ -299,10 +284,15 @@ let boot ?(config = default_config) () =
       Array.of_list (fixed @ tiers @ lock_cols @ cpu_cols)
     in
     Sim.Timeseries.set_probe series ~columns probe;
-    (* Watchdogs over a 4-sample window.  Column indexes match the
-       [columns] list above. *)
-    let c_free = 0 and c_drain = 5 and c_pageouts = 8 and c_migrations = 11 in
-    let c_swapouts = 14 and c_swapins = 15 in
+    (* Watchdogs over a 4-sample window, finding their columns by name. *)
+    let column name = Option.get (Sim.Timeseries.col_index series name) in
+    let stat c = column (Sim.Stats.name c) in
+    let c_free = stat Sim.Stats.free_pages in
+    let c_drain = column "drain_pending" in
+    let c_pageouts = stat Sim.Stats.pageouts in
+    let c_migrations = stat Sim.Stats.swap_migrations in
+    let c_swapouts = stat Sim.Stats.proc_swapouts in
+    let c_swapins = stat Sim.Stats.proc_swapins in
     let delta (w : Sim.Timeseries.sample array) col =
       let n = Array.length w in
       w.(n - 1).Sim.Timeseries.s_values.(col)

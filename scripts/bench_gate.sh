@@ -7,8 +7,9 @@
 # gated:
 #
 #   - numeric leaves whose key ends in "_us"  fail when  new > old * (1 + TOL)
-#   - numeric leaves whose key ends in "mb_s", "speedup" or "fast_hit_rate"
-#     fail when  new < old * (1 - TOL)
+#   - numeric leaves whose key ends in "mb_s", "speedup", "hit_rate" (which
+#     covers "fast_hit_rate") or "hit_rate_before" fail when
+#     new < old * (1 - TOL)
 #
 # The "microbench_ns_per_run" section is wall-clock (Bechamel) and is
 # excluded: it measures the host machine, not the simulated one.
@@ -55,7 +56,8 @@ def gate(path, old, cur):
     """Gate one numeric leaf; returns None or a failure line."""
     key = path.rsplit(".", 1)[-1]
     lower_is_better = key.endswith("_us")
-    higher_is_better = key.endswith(("mb_s", "speedup", "fast_hit_rate"))
+    higher_is_better = key.endswith(
+        ("mb_s", "speedup", "hit_rate", "hit_rate_before"))
     if not (lower_is_better or higher_is_better):
         return
     if not isinstance(old, (int, float)) or not isinstance(cur, (int, float)):

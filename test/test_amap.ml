@@ -23,7 +23,8 @@ let test_anon_lifecycle () =
   Uvm.Anon.unref sys anon;
   Alcotest.(check int) "page freed" (free_before + 1)
     (Physmem.free_count (Uvm.State.physmem sys));
-  Alcotest.(check int) "anon freed stat" 1 (stats sys).Sim.Stats.anons_freed
+  Alcotest.(check int) "anon freed stat" 1
+    Sim.Stats.(get (stats sys) anons_freed)
 
 let test_anon_swap_roundtrip () =
   let sys = mk () in
@@ -48,7 +49,7 @@ let test_anon_swap_roundtrip () =
   in
   Alcotest.(check char) "data back from swap" 'q'
     (Bytes.get fresh.Physmem.Page.data 123);
-  Alcotest.(check int) "pagein counted" 1 (stats sys).Sim.Stats.pageins
+  Alcotest.(check int) "pagein counted" 1 Sim.Stats.(get (stats sys) pageins)
 
 let test_anon_swslot_replacement_frees () =
   let sys = mk () in
@@ -98,7 +99,8 @@ let test_amap_copy_shares_anons () =
     (match Uvm.Amap.lookup copy ~slot:2 with Some x -> x == a2 | None -> false);
   Uvm.Amap.unref_range sys copy ~slotoff:0 ~len:4;
   Alcotest.(check int) "copy release drops anon refs" 1 a0.Uvm.Anon.refs;
-  Alcotest.(check int) "amap freed stat" 1 (stats sys).Sim.Stats.amaps_freed;
+  Alcotest.(check int) "amap freed stat" 1
+    Sim.Stats.(get (stats sys) amaps_freed);
   check_ok (Uvm.Amap.check_invariants am)
 
 let test_partial_copy_range () =

@@ -33,13 +33,13 @@ let test_shadow_chain_grows () =
   let vn = Vfs.create_file (B.machine sys).Vmiface.Machine.vfs ~name:"/ch" ~size:12288 in
   let z = B.mmap sys p ~npages:3 ~prot:Pmap.Prot.rw ~share:Vt.Private (Vt.File (vn, 0)) in
   write sys p ~vpn:(z + 1) "a";
-  let shadows0 = (stats sys).Sim.Stats.shadow_objects_allocated in
+  let shadows0 = Sim.Stats.(get (stats sys) shadow_objects_allocated) in
   let c = B.fork sys p in
   write sys p ~vpn:(z + 1) "b";
   write sys c ~vpn:(z + 2) "c";
   (* Paper Figure 3: two more shadow objects were allocated. *)
   Alcotest.(check int) "two new shadows" (shadows0 + 2)
-    (stats sys).Sim.Stats.shadow_objects_allocated;
+    Sim.Stats.(get (stats sys) shadow_objects_allocated);
   let e = Option.get (Bsdvm.Map.lookup p.B.map ~vpn:(z + 1)) in
   let chain = Bsdvm.Object.chain_length (Option.get e.Bsdvm.Map.obj) in
   Alcotest.(check bool) "chain of 3+ (shadow2->shadow1->vnode)" true (chain >= 3);
@@ -74,10 +74,10 @@ let test_collapse_repairs_on_write () =
   B.destroy_vmspace sys c;
   (* Child gone: the next COW write fault attempts a collapse, which can
      now merge the chain and free the redundant middle page. *)
-  let succ0 = (stats sys).Sim.Stats.collapse_successes in
+  let succ0 = Sim.Stats.(get (stats sys) collapse_successes) in
   write sys p ~vpn:z "xx";
   Alcotest.(check bool) "collapse succeeded" true
-    ((stats sys).Sim.Stats.collapse_successes > succ0);
+    (Sim.Stats.(get (stats sys) collapse_successes) > succ0);
   Alcotest.(check int) "leak repaired" 0 (B.leaked_pages sys);
   Alcotest.(check string) "data correct after collapse" "v2" (read sys p ~vpn:(z + 1) 2)
 
@@ -93,20 +93,22 @@ let test_object_cache_limit () =
     Vfs.vrele vfs vn
   done;
   Alcotest.(check int) "cache capped at 100" 100 (Bsdvm.Objcache.cached_count sys.B.cache);
-  Alcotest.(check int) "20 evictions" 20 (stats sys).Sim.Stats.obj_cache_evictions;
+  Alcotest.(check int) "20 evictions" 20
+    Sim.Stats.(get (stats sys) obj_cache_evictions);
   (* Re-mapping an evicted file re-reads from disk; a cached one doesn't. *)
-  let ops0 = (stats sys).Sim.Stats.disk_read_ops in
+  let ops0 = Sim.Stats.(get (stats sys) disk_read_ops) in
   let vn = Vfs.lookup vfs ~name:"/f119" in
   let vpn = B.mmap sys vm ~npages:1 ~prot:Pmap.Prot.read ~share:Vt.Shared (Vt.File (vn, 0)) in
   B.touch sys vm ~vpn Vt.Read;
-  Alcotest.(check int) "cached file: no IO" ops0 (stats sys).Sim.Stats.disk_read_ops;
+  Alcotest.(check int) "cached file: no IO" ops0
+    Sim.Stats.(get (stats sys) disk_read_ops);
   B.munmap sys vm ~vpn ~npages:1;
   Vfs.vrele vfs vn;
   let vn0 = Vfs.lookup vfs ~name:"/f000" in
   let vpn0 = B.mmap sys vm ~npages:1 ~prot:Pmap.Prot.read ~share:Vt.Shared (Vt.File (vn0, 0)) in
   B.touch sys vm ~vpn:vpn0 Vt.Read;
   Alcotest.(check bool) "evicted file re-read" true
-    ((stats sys).Sim.Stats.disk_read_ops > ops0)
+    (Sim.Stats.(get (stats sys) disk_read_ops) > ops0)
 
 let test_cache_pins_vnodes () =
   let sys, vm = mk () in
@@ -184,7 +186,8 @@ let test_no_fault_ahead () =
   let vpn = B.mmap sys vm ~npages:16 ~prot:Pmap.Prot.read ~share:Vt.Shared (Vt.File (vn, 0)) in
   B.access_range sys vm ~vpn ~npages:16 Vt.Read;
   (* Every page is its own fault under BSD. *)
-  Alcotest.(check int) "16 faults for 16 pages" 16 (stats sys).Sim.Stats.faults
+  Alcotest.(check int) "16 faults for 16 pages" 16
+    Sim.Stats.(get (stats sys) faults)
 
 let test_bsd_paging_roundtrip () =
   let config =
@@ -206,7 +209,7 @@ let test_bsd_paging_roundtrip () =
   (* One write op per page: no clustering. *)
   let st = stats sys in
   Alcotest.(check bool) "unclustered writes" true
-    (st.Sim.Stats.disk_write_ops >= st.Sim.Stats.pageouts);
+    (Sim.Stats.(get st disk_write_ops) >= Sim.Stats.(get st pageouts));
   B.destroy_vmspace sys vm;
   Alcotest.(check int) "swap released" 0 (B.swap_slots_in_use sys)
 
@@ -216,21 +219,21 @@ let test_private_read_allocates_shadow () =
   let sys, vm = mk () in
   let vfs = (B.machine sys).Vmiface.Machine.vfs in
   let vn = Vfs.create_file vfs ~name:"/rp" ~size:4096 in
-  let shadows0 = (stats sys).Sim.Stats.shadow_objects_allocated in
+  let shadows0 = Sim.Stats.(get (stats sys) shadow_objects_allocated) in
   let vpn = B.mmap sys vm ~npages:1 ~prot:Pmap.Prot.read ~share:Vt.Private (Vt.File (vn, 0)) in
   B.touch sys vm ~vpn Vt.Read;
   Alcotest.(check int) "shadow allocated on read" (shadows0 + 1)
-    (stats sys).Sim.Stats.shadow_objects_allocated
+    Sim.Stats.(get (stats sys) shadow_objects_allocated)
 
 let test_pager_structs_allocated () =
   let sys, vm = mk () in
   let vfs = (B.machine sys).Vmiface.Machine.vfs in
   let vn = Vfs.create_file vfs ~name:"/pg" ~size:4096 in
-  let pagers0 = (stats sys).Sim.Stats.pager_structs_allocated in
+  let pagers0 = Sim.Stats.(get (stats sys) pager_structs_allocated) in
   ignore (B.mmap sys vm ~npages:1 ~prot:Pmap.Prot.read ~share:Vt.Shared (Vt.File (vn, 0)));
   (* vm_pager + vn_pager (Figure 4). *)
   Alcotest.(check int) "two pager structs" (pagers0 + 2)
-    (stats sys).Sim.Stats.pager_structs_allocated;
+    Sim.Stats.(get (stats sys) pager_structs_allocated);
   (* UVM allocates none for the same operation. *)
   let usys = Uvm.Sys.boot () in
   let uvm = Uvm.Sys.new_vmspace usys in
@@ -240,7 +243,8 @@ let test_pager_structs_allocated () =
     (Uvm.Sys.mmap usys uvm ~npages:1 ~prot:Pmap.Prot.read ~share:Vt.Shared
        (Vt.File (uvn, 0)));
   Alcotest.(check int) "uvm: zero pager structs" 0
-    ((Uvm.Sys.machine usys).Vmiface.Machine.stats).Sim.Stats.pager_structs_allocated
+    Sim.Stats.(
+      get (Uvm.Sys.machine usys).Vmiface.Machine.stats pager_structs_allocated)
 
 let () =
   Alcotest.run "bsdvm"

@@ -22,13 +22,14 @@ let test_rom_mapping () =
   let dev = Uvm.Device.create_rom sys.S.usys ~name:"rom0" ~contents:rom_bytes in
   Alcotest.(check int) "rom pages" 3 (Uvm.Device.npages dev);
   let obj = Uvm.Device.attach sys.S.usys dev in
-  let ops0 = (stats sys).Sim.Stats.disk_read_ops in
+  let ops0 = Sim.Stats.(get (stats sys) disk_read_ops) in
   let vpn = Uvm.map_object sys vm ~obj ~npages:3 ~prot:Pmap.Prot.rx ~share:Vt.Shared in
   Alcotest.(check string) "rom contents" "BOOTROM-V1"
     (Bytes.to_string (S.read_bytes sys vm ~addr:(vpn * 4096) ~len:10));
   Alcotest.(check string) "second page" "VECTORS"
     (Bytes.to_string (S.read_bytes sys vm ~addr:((vpn + 1) * 4096) ~len:7));
-  Alcotest.(check int) "no disk I/O ever" ops0 (stats sys).Sim.Stats.disk_read_ops;
+  Alcotest.(check int) "no disk I/O ever" ops0
+    Sim.Stats.(get (stats sys) disk_read_ops);
   (* The process maps the device's own frame — code straight from the
      ROM, no copies. *)
   let pte = Option.get (Pmap.lookup vm.S.pmap ~vpn) in
@@ -105,12 +106,12 @@ let test_swap_lock_traffic () =
     P.boot_kernel sys;
     let proc = P.spawn sys Oslayer.Programs.cat in
     let st = (V.machine sys).Vmiface.Machine.stats in
-    let locks0 = st.Sim.Stats.lock_acquisitions in
+    let locks0 = Sim.Stats.(get st lock_acquisitions) in
     for _ = 1 to 10 do
       P.swapout_proc sys proc;
       P.swapin_proc sys proc
     done;
-    st.Sim.Stats.lock_acquisitions - locks0
+    Sim.Stats.(get st lock_acquisitions) - locks0
   in
   let uvm = traffic (module Uvm.Sys) in
   let bsd = traffic (module Bsdvm.Sys) in

@@ -129,7 +129,7 @@ module Resilience (V : Vmiface.Vm_sig.VM_SYS) = struct
     let vpn = V.mmap sys vm ~npages:n ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
     fill sys vm ~vpn ~npages:n;
     Alcotest.(check bool) "paging happened" true
-      ((stats sys).Sim.Stats.pageouts > 0);
+      (Sim.Stats.(get (stats sys) pageouts) > 0);
     (* Now the medium dies for reads: every swap pagein fails. *)
     Fp.fail_op plan Fp.Read Fp.Permanent;
     let saw_pager_error = ref false in
@@ -140,9 +140,9 @@ module Resilience (V : Vmiface.Vm_sig.VM_SYS) = struct
      with Vt.Segv { error = Vt.Pager_error; _ } -> saw_pager_error := true);
     Alcotest.(check bool) "Segv carries Pager_error" true !saw_pager_error;
     Alcotest.(check bool) "failed pageins counted" true
-      ((stats sys).Sim.Stats.pageins_failed > 0);
+      (Sim.Stats.(get (stats sys) pageins_failed) > 0);
     Alcotest.(check bool) "injections counted" true
-      ((stats sys).Sim.Stats.io_errors_injected > 0);
+      (Sim.Stats.(get (stats sys) io_errors_injected) > 0);
     (* Anons keep their swap slots on failed pagein: no leak, and teardown
        releases everything. *)
     V.destroy_vmspace sys vm;
@@ -161,11 +161,13 @@ module Resilience (V : Vmiface.Vm_sig.VM_SYS) = struct
     fill sys vm ~vpn ~npages:n;
     verify sys vm ~vpn ~npages:n;
     let st = stats sys in
-    Alcotest.(check int) "both failures injected" 2 st.Sim.Stats.io_errors_injected;
-    Alcotest.(check bool) "retries happened" true (st.Sim.Stats.pageout_retries >= 2);
+    Alcotest.(check int) "both failures injected" 2
+      Sim.Stats.(get st io_errors_injected);
+    Alcotest.(check bool) "retries happened" true
+      (Sim.Stats.(get st pageout_retries) >= 2);
     Alcotest.(check bool) "pageout recovered" true
-      (st.Sim.Stats.pageouts_recovered >= 1);
-    Alcotest.(check int) "no slot blacklisted" 0 st.Sim.Stats.bad_slots;
+      (Sim.Stats.(get st pageouts_recovered) >= 1);
+    Alcotest.(check int) "no slot blacklisted" 0 Sim.Stats.(get st bad_slots);
     V.destroy_vmspace sys vm;
     Alcotest.(check int) "swap released" 0 (V.swap_slots_in_use sys)
 
@@ -186,14 +188,15 @@ module Resilience (V : Vmiface.Vm_sig.VM_SYS) = struct
     verify sys vm ~vpn ~npages:n;
     let st = stats sys in
     let dev = swapdev sys in
-    Alcotest.(check bool) "error injected" true (st.Sim.Stats.io_errors_injected >= 1);
-    Alcotest.(check int) "slot 1 blacklisted" 1 st.Sim.Stats.bad_slots;
+    Alcotest.(check bool) "error injected" true
+      (Sim.Stats.(get st io_errors_injected) >= 1);
+    Alcotest.(check int) "slot 1 blacklisted" 1 Sim.Stats.(get st bad_slots);
     Alcotest.(check bool) "device agrees" true (Swap.Swaptier.is_bad_slot dev ~slot:1);
     Alcotest.(check int) "usable pool shrank by one"
       (Swap.Swaptier.capacity dev - 1)
       (Swap.Swaptier.slots_usable dev);
     Alcotest.(check bool) "pageout recovered via reassignment" true
-      (st.Sim.Stats.pageouts_recovered >= 1);
+      (Sim.Stats.(get st pageouts_recovered) >= 1);
     V.destroy_vmspace sys vm;
     Alcotest.(check int) "swap released" 0 (V.swap_slots_in_use sys);
     Alcotest.(check bool) "bad slot stays retired" true
@@ -224,7 +227,7 @@ module Resilience (V : Vmiface.Vm_sig.VM_SYS) = struct
       done
     done;
     Alcotest.(check bool) "swap-full events counted" true
-      ((stats sys).Sim.Stats.swap_full_events >= 1);
+      (Sim.Stats.(get (stats sys) swap_full_events) >= 1);
     (* Anonymous data survived the squeeze. *)
     verify sys vm ~vpn:anon ~npages:60;
     V.destroy_vmspace sys vm;
@@ -256,11 +259,11 @@ module Resilience (V : Vmiface.Vm_sig.VM_SYS) = struct
     done;
     let st = stats sys in
     Alcotest.(check bool) "write errors injected" true
-      (st.Sim.Stats.io_errors_injected >= 1);
+      (Sim.Stats.(get st io_errors_injected) >= 1);
     Alcotest.(check bool) "blacklist ate the pool" true
-      (st.Sim.Stats.bad_slots >= 1);
+      (Sim.Stats.(get st bad_slots) >= 1);
     Alcotest.(check bool) "No_space degradation counted" true
-      (st.Sim.Stats.swap_full_events >= 1);
+      (Sim.Stats.(get st swap_full_events) >= 1);
     verify sys vm ~vpn:anon ~npages:24;
     V.destroy_vmspace sys vm;
     Alcotest.(check int) "no swap charged" 0 (V.swap_slots_in_use sys)

@@ -40,12 +40,12 @@ let test_needs_copy_cleared_without_copy_when_sole () =
   let c = S.fork sys p in
   (* Parent resolves its needs-copy first. *)
   write sys p ~vpn:(z + 1) "DATA";
-  let amaps0 = (stats sys).Sim.Stats.amaps_allocated in
+  let amaps0 = Sim.Stats.(get (stats sys) amaps_allocated) in
   (* Child writes the right-hand page: needs-copy clears in place, only a
      fresh anon is allocated for the new page. *)
   write sys c ~vpn:(z + 2) "kid!";
   Alcotest.(check int) "no amap allocated for child" amaps0
-    (stats sys).Sim.Stats.amaps_allocated;
+    Sim.Stats.(get (stats sys) amaps_allocated);
   Alcotest.(check string) "parent right page intact" "\000\000\000\000"
     (read sys p ~vpn:(z + 2) 4)
 
@@ -56,12 +56,13 @@ let test_write_in_place_when_sole_reference () =
   let c = S.fork sys p in
   S.destroy_vmspace sys c;
   (* Child gone: anon refs back to 1, write goes in place (no copy). *)
-  let copies0 = (stats sys).Sim.Stats.pages_copied in
-  let reuse0 = (stats sys).Sim.Stats.cow_reuses in
+  let copies0 = Sim.Stats.(get (stats sys) pages_copied) in
+  let reuse0 = Sim.Stats.(get (stats sys) cow_reuses) in
   write sys p ~vpn:z "again";
-  Alcotest.(check int) "no page copied" copies0 (stats sys).Sim.Stats.pages_copied;
+  Alcotest.(check int) "no page copied" copies0
+    Sim.Stats.(get (stats sys) pages_copied);
   Alcotest.(check bool) "in-place reuse counted" true
-    ((stats sys).Sim.Stats.cow_reuses > reuse0)
+    (Sim.Stats.(get (stats sys) cow_reuses) > reuse0)
 
 let test_inherit_none () =
   let sys, p = mk () in
@@ -136,7 +137,7 @@ let test_fork_write_protects_parent () =
   let sys, p = mk () in
   let z = S.mmap sys p ~npages:1 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
   write sys p ~vpn:z "x";
-  let faults0 = (stats sys).Sim.Stats.faults in
+  let faults0 = Sim.Stats.(get (stats sys) faults) in
   let c = S.fork sys p in
   (* Parent's pte must have lost write permission. *)
   (match Pmap.lookup p.S.pmap ~vpn:z with
@@ -144,7 +145,7 @@ let test_fork_write_protects_parent () =
   | None -> Alcotest.fail "parent lost mapping");
   write sys p ~vpn:z "y";
   Alcotest.(check bool) "parent write faulted" true
-    ((stats sys).Sim.Stats.faults > faults0);
+    (Sim.Stats.(get (stats sys) faults) > faults0);
   Alcotest.(check string) "child snapshot intact" "x" (read sys c ~vpn:z 1)
 
 let test_fork_private_file_mapping () =

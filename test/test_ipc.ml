@@ -117,7 +117,8 @@ let test_vslock_counted () =
   let ch = IU.pipe sys () in
   ignore (IU.send sys tx ~vslocked:true ch ~policy:Ipc.Loan ~addr:(src * ps) ~len:6);
   ignore (IU.recv sys rx ~vslocked:true ch ~addr:(dst * ps) ~len:6);
-  Alcotest.(check int) "two vslock'd transfers" 2 (stats sys).Sim.Stats.vslock_ios;
+  Alcotest.(check int) "two vslock'd transfers" 2
+    Sim.Stats.(get (stats sys) vslock_ios);
   Alcotest.(check string) "payload" "physio"
     (Bytes.to_string (S.read_bytes sys rx ~addr:(dst * ps) ~len:6));
   IU.close sys ch
@@ -131,7 +132,7 @@ let test_cow_write_after_send () =
   let sent = IU.send sys tx ch ~policy:Ipc.Loan ~addr:(src * ps) ~len:8 in
   Alcotest.(check int) "accepted" 8 sent;
   Alcotest.(check bool) "bytes moved by loan, not copy" true
-    ((stats sys).Sim.Stats.ipc_bytes_loaned = 8);
+    (Sim.Stats.(get (stats sys) ipc_bytes_loaned) = 8);
   (* The sender scribbles after send: the queued data must be the
      pre-write snapshot (COW broke the loan). *)
   S.write_bytes sys tx ~addr:(src * ps) (Bytes.of_string "SCRIBBLE");
@@ -176,7 +177,8 @@ let test_mexp_pageout_mid_transfer () =
   let ch = IU.pipe sys () in
   let sent = IU.send sys tx ch ~policy:Ipc.Mexp ~addr:(src * ps) ~len:ps in
   Alcotest.(check int) "whole page accepted" ps sent;
-  Alcotest.(check int) "moved by mapping" ps (stats sys).Sim.Stats.ipc_bytes_mapped;
+  Alcotest.(check int) "moved by mapping" ps
+    Sim.Stats.(get (stats sys) ipc_bytes_mapped);
   (* Memory pressure: push everything reclaimable out to swap. *)
   let hog = S.new_vmspace sys in
   let big = S.mmap sys hog ~npages:300 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
@@ -184,7 +186,7 @@ let test_mexp_pageout_mid_transfer () =
     S.write_bytes sys hog ~addr:((big + i) * ps) (Bytes.of_string "z")
   done;
   Alcotest.(check bool) "pressure caused pageouts" true
-    ((stats sys).Sim.Stats.pageouts > 0);
+    (Sim.Stats.(get (stats sys) pageouts) > 0);
   S.audit sys;
   (match IU.recv sys rx ch ~addr:(dst * ps) ~len:ps with
   | IU.Data n -> Alcotest.(check int) "full page received" ps n

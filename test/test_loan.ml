@@ -17,9 +17,10 @@ let test_loan_shares_frames () =
   let sys, vm = mk () in
   let vpn = S.mmap sys vm ~npages:4 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
   S.write_bytes sys vm ~addr:(vpn * 4096) (Bytes.of_string "lend-me");
-  let copies0 = (stats sys).Sim.Stats.pages_copied in
+  let copies0 = Sim.Stats.(get (stats sys) pages_copied) in
   let loan = Uvm.loan_to_kernel vm ~vpn ~npages:4 in
-  Alcotest.(check int) "no copying" copies0 (stats sys).Sim.Stats.pages_copied;
+  Alcotest.(check int) "no copying" copies0
+    Sim.Stats.(get (stats sys) pages_copied);
   let pages = Uvm.Loan.pages loan in
   Alcotest.(check int) "four frames" 4 (List.length pages);
   let first = List.hd pages in

@@ -16,9 +16,10 @@ let test_page_transfer () =
   let vpn = S.mmap sys src ~npages:3 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
   write sys src ~vpn "page-zero";
   write sys src ~vpn:(vpn + 2) "page-two!";
-  let copies0 = (stats sys).Sim.Stats.pages_copied in
+  let copies0 = Sim.Stats.(get (stats sys) pages_copied) in
   let dvpn = Uvm.page_transfer src ~vpn ~npages:3 ~dst ~prot:Pmap.Prot.rw in
-  Alcotest.(check int) "zero copies" copies0 (stats sys).Sim.Stats.pages_copied;
+  Alcotest.(check int) "zero copies" copies0
+    Sim.Stats.(get (stats sys) pages_copied);
   Alcotest.(check string) "receiver sees data" "page-zero" (read sys dst ~vpn:dvpn 9);
   Alcotest.(check string) "third page too" "page-two!" (read sys dst ~vpn:(dvpn + 2) 9);
   (* Transferred memory is ordinary anonymous memory: receiver writes COW

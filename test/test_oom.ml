@@ -84,7 +84,7 @@ module Oom (V : Vmiface.Vm_sig.VM_SYS) = struct
           first
     | [] -> Alcotest.fail "pressure never forced a reap");
     Alcotest.(check bool) "swapout rung ran before the reap" true
-      (st.Sim.Stats.proc_swapouts >= 1);
+      (Sim.Stats.(get st proc_swapouts) >= 1);
     Alcotest.(check bool) "small processes outlived the hog" true
       ((not small1.Ps.dead) || not small2.Ps.dead);
     Ps.uninstall mgr
@@ -114,7 +114,7 @@ module Oom (V : Vmiface.Vm_sig.VM_SYS) = struct
     in
     ignore (squeeze sys mgr consumer ~vpn ~npages ~until_kills:2 ~kills : bool);
     Alcotest.(check bool) "at least one victim reaped" true
-      (st.Sim.Stats.oom_kills >= 1);
+      (Sim.Stats.(get st oom_kills) >= 1);
     V.audit sys;
     (* Everything left tears down cleanly too. *)
     List.iter
@@ -149,13 +149,13 @@ module Oom (V : Vmiface.Vm_sig.VM_SYS) = struct
     Alcotest.(check bool) "ordinary allocs stopped at the floor" true
       (free <= reserve);
     Alcotest.(check bool) "the floor is not empty" true (free > 0);
-    let before = st.Sim.Stats.reserve_grabs in
+    let before = Sim.Stats.(get st reserve_grabs) in
     let page =
       Physmem.alloc pm ~privileged:true ~owner:Physmem.Page.No_owner ~offset:0
         ()
     in
     Alcotest.(check bool) "privileged alloc dug into the reserve" true
-      (st.Sim.Stats.reserve_grabs > before);
+      (Sim.Stats.(get st reserve_grabs) > before);
     Physmem.free_page pm page
 
   (* Whole-process swapout parks the process and releases its memory to
@@ -179,12 +179,13 @@ module Oom (V : Vmiface.Vm_sig.VM_SYS) = struct
         ~addr:((vpn + i) * ps)
         (Bytes.of_string (tag i))
     done;
-    let so0 = st.Sim.Stats.proc_swapouts and si0 = st.Sim.Stats.proc_swapins in
+    let so0 = Sim.Stats.(get st proc_swapouts)
+    and si0 = Sim.Stats.(get st proc_swapins) in
     let evicted = Ps.swapout_whole mgr parked in
     Alcotest.(check bool) "resident set evicted" true (evicted >= npages);
     Alcotest.(check bool) "marked swapped" true parked.Ps.swapped;
     Alcotest.(check int) "swapout counted" (so0 + 1)
-      st.Sim.Stats.proc_swapouts;
+      Sim.Stats.(get st proc_swapouts);
     (* Pressure from another space pushes the parked pages all the way
        out to swap before the victim runs again. *)
     let other = V.new_vmspace sys in
@@ -207,7 +208,8 @@ module Oom (V : Vmiface.Vm_sig.VM_SYS) = struct
             (tag i) (Bytes.to_string got)
         done);
     Alcotest.(check bool) "back in core" true (not parked.Ps.swapped);
-    Alcotest.(check int) "swapin counted" (si0 + 1) st.Sim.Stats.proc_swapins;
+    Alcotest.(check int) "swapin counted" (si0 + 1)
+      Sim.Stats.(get st proc_swapins);
     V.audit sys
 
   (* Senders see the receiver's state as typed backpressure: a parked
@@ -242,9 +244,9 @@ module Oom (V : Vmiface.Vm_sig.VM_SYS) = struct
     | Ok _ -> Alcotest.fail "expected Timed_out on full queue"
     | Error Ipc.Peer_dead -> Alcotest.fail "receiver is parked, not dead");
     (* Reap the receiver: every later send fails fast and is typed. *)
-    let k0 = st.Sim.Stats.oom_kills in
+    let k0 = Sim.Stats.(get st oom_kills) in
     Ps.reap mgr receiver;
-    Alcotest.(check int) "reap counted" (k0 + 1) st.Sim.Stats.oom_kills;
+    Alcotest.(check int) "reap counted" (k0 + 1) Sim.Stats.(get st oom_kills);
     (match send (ps / 2) with
     | Error Ipc.Peer_dead -> ()
     | Ok _ | Error Ipc.Timed_out ->

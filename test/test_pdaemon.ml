@@ -31,9 +31,11 @@ let test_pressure_roundtrip () =
   let n = 300 in
   let vpn = S.mmap sys vm ~npages:n ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
   fill sys vm ~vpn ~npages:n;
-  Alcotest.(check bool) "paging happened" true ((stats sys).Sim.Stats.pageouts > 0);
+  Alcotest.(check bool) "paging happened" true
+    (Sim.Stats.(get (stats sys) pageouts) > 0);
   verify sys vm ~vpn ~npages:n;
-  Alcotest.(check bool) "pageins happened" true ((stats sys).Sim.Stats.pageins > 0);
+  Alcotest.(check bool) "pageins happened" true
+    (Sim.Stats.(get (stats sys) pageins) > 0);
   S.destroy_vmspace sys vm;
   Alcotest.(check int) "swap released at exit" 0 (S.swap_slots_in_use sys)
 
@@ -58,7 +60,7 @@ let test_clustering_reduces_ops () =
     let vpn = V.mmap sys vm ~npages:300 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
     V.access_range sys vm ~vpn ~npages:300 Vt.Write;
     let st = (V.machine sys).Vmiface.Machine.stats in
-    (st.Sim.Stats.disk_write_ops, st.Sim.Stats.pageouts)
+    (Sim.Stats.(get st disk_write_ops), Sim.Stats.(get st pageouts))
   in
   let uvm_ops, uvm_pages = count (module Uvm.Sys) in
   let bsd_ops, bsd_pages = count (module Bsdvm.Sys) in
@@ -106,14 +108,14 @@ let test_clean_page_with_swap_copy_reclaimed_without_io () =
   fill sys vm ~vpn ~npages:n;
   (* Read everything back (pages in, now clean with swap copies). *)
   verify sys vm ~vpn ~npages:n;
-  let outs = (stats sys).Sim.Stats.pageouts in
+  let outs = Sim.Stats.(get (stats sys) pageouts) in
   (* More pressure: clean pages with swap copies must be reclaimed without
      fresh pageouts dominating (some re-dirtying is fine). *)
   let extra = S.mmap sys vm ~npages:60 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
   for i = 0 to 59 do
     S.touch sys vm ~vpn:(extra + i) Vt.Read
   done;
-  let new_outs = (stats sys).Sim.Stats.pageouts - outs in
+  let new_outs = Sim.Stats.(get (stats sys) pageouts) - outs in
   Alcotest.(check bool) "mostly free reclaims" true (new_outs < 60)
 
 let test_aobj_shared_paging () =

@@ -33,7 +33,7 @@ let test_zero_alloc () =
   let p = Physmem.alloc pm ~zero:true ~owner:Physmem.Page.No_owner ~offset:0 () in
   Alcotest.(check bool) "zeroed" true
     (Bytes.for_all (fun c -> c = '\000') p.Physmem.Page.data);
-  Alcotest.(check int) "zero counted" 1 stats.Sim.Stats.pages_zeroed;
+  Alcotest.(check int) "zero counted" 1 Sim.Stats.(get stats pages_zeroed);
   Alcotest.(check bool) "zero cost charged" true (Sim.Simclock.now clock = 0.0)
 
 let test_queues () =
@@ -133,7 +133,7 @@ let test_copy_and_zero_data () =
   Bytes.fill a.Physmem.Page.data 0 256 'x';
   Physmem.copy_data pm ~src:a ~dst:b;
   Alcotest.(check bool) "copied" true (Bytes.equal a.Physmem.Page.data b.Physmem.Page.data);
-  Alcotest.(check int) "copy counted" 1 stats.Sim.Stats.pages_copied;
+  Alcotest.(check int) "copy counted" 1 Sim.Stats.(get stats pages_copied);
   Physmem.zero_data pm b;
   Alcotest.(check bool) "zeroed" true
     (Bytes.for_all (fun c -> c = '\000') b.Physmem.Page.data)

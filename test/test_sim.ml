@@ -137,22 +137,6 @@ let test_rng_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "same elements" (Array.init 100 Fun.id) sorted
 
-let test_stats_diff () =
-  let a = Sim.Stats.create () in
-  a.Sim.Stats.faults <- 10;
-  a.Sim.Stats.pageins <- 3;
-  let before = Sim.Stats.snapshot a in
-  a.Sim.Stats.faults <- 25;
-  let d = Sim.Stats.diff ~after:a ~before in
-  Alcotest.(check int) "delta faults" 15 d.Sim.Stats.faults;
-  Alcotest.(check int) "delta pageins" 0 d.Sim.Stats.pageins
-
-let test_stats_rows () =
-  let s = Sim.Stats.create () in
-  s.Sim.Stats.cow_copies <- 4;
-  let rows = Sim.Stats.to_rows s in
-  Alcotest.(check (float 0.0)) "row value" 4.0 (List.assoc "cow_copies" rows)
-
 let () =
   Alcotest.run "sim"
     [
@@ -175,10 +159,5 @@ let () =
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "shuffle" `Quick test_rng_shuffle_permutes;
           QCheck_alcotest.to_alcotest prop_rng_bounds;
-        ] );
-      ( "stats",
-        [
-          Alcotest.test_case "diff" `Quick test_stats_diff;
-          Alcotest.test_case "rows" `Quick test_stats_rows;
         ] );
     ]

@@ -99,9 +99,9 @@ let test_cache_stats_flow () =
   in
   List.iter (fun p -> Physmem.free_page pm p) ps;
   Alcotest.(check bool) "refills counted" true
-    (stats.Sim.Stats.cache_refills > 0);
+    (Sim.Stats.(get stats cache_refills) > 0);
   Alcotest.(check bool) "hits counted" true
-    (stats.Sim.Stats.cache_alloc_hits > 0);
+    (Sim.Stats.(get stats cache_alloc_hits) > 0);
   let v = List.nth (Physmem.cache_views pm) 2 in
   Alcotest.(check bool) "per-cpu hit view" true (v.Physmem.cw_hits > 0)
 
@@ -281,6 +281,39 @@ let test_scheduler_balances () =
     (fun (_, _, q) -> Alcotest.(check int) "20 quanta per cpu" 20 q)
     cpus
 
+(* Each CPU's shard sums the deltas of the quanta it ran, so the shards
+   add up to the machine's change over the run: for a counter that is
+   its count, for a gauge the net change of its level. *)
+let test_shards_sum_to_machine () =
+  let clock = Sim.Simclock.create () in
+  let stats = Sim.Stats.create () in
+  Sim.Stats.(set stats faults 5);
+  Sim.Stats.(set stats free_pages 1000);
+  let smp =
+    Sim.Smp.create ~seed:42 ~cpus:3 ~clock ~costs:Sim.Cost_model.default
+      ~stats ()
+  in
+  for p = 0 to 5 do
+    Sim.Smp.add_task smp ~cpu:(p mod 3) ~name:(Printf.sprintf "t%d" p)
+      (fun i ->
+        Sim.Simclock.advance clock (float_of_int (1 + ((p + i) mod 4)));
+        Sim.Stats.(bump stats faults (p + 1));
+        Sim.Stats.(set stats free_pages (1000 - (37 * p) + (11 * i)));
+        i < 6)
+  done;
+  Sim.Smp.run smp;
+  let sum c =
+    List.fold_left
+      (fun acc v -> acc + Sim.Stats.get v.Sim.Smp.cv_stats c)
+      0 (Sim.Smp.cpu_views smp)
+  in
+  Alcotest.(check int) "shard faults sum to the machine's"
+    (Sim.Stats.(get stats faults) - 5)
+    (sum Sim.Stats.faults);
+  Alcotest.(check int) "shard free_pages sum to the level's net change"
+    (Sim.Stats.(get stats free_pages) - 1000)
+    (sum Sim.Stats.free_pages)
+
 (* -- the storm ----------------------------------------------------------- *)
 
 let test_storm_4cpus_clean () =
@@ -371,6 +404,8 @@ let () =
             test_scheduler_deterministic;
           Alcotest.test_case "per-cpu quantum balance" `Quick
             test_scheduler_balances;
+          Alcotest.test_case "shards sum to the machine's counters" `Quick
+            test_shards_sum_to_machine;
         ] );
       ( "storm",
         [

@@ -193,7 +193,8 @@ let test_tier_death_failover () =
   St.kill_device t ~name:"fast";
   St.kill_device t ~name:"fast" (* idempotent *);
   Alcotest.(check bool) "dead" false (St.device_alive t ~name:"fast");
-  Alcotest.(check int) "one death counted" 1 stats.Sim.Stats.swap_devices_dead;
+  Alcotest.(check int) "one death counted" 1
+    Sim.Stats.(get stats swap_devices_dead);
   Alcotest.(check int) "only the slow tier allocates" 16 (St.slots_usable t);
   Alcotest.(check bool) "whole device blacklisted" true (St.is_bad_slot t ~slot);
   (* Dying media: writes fail permanently, reads still served. *)
@@ -214,7 +215,8 @@ let test_tier_death_failover () =
       Alcotest.(check int) "owner rebound" fresh !bound;
       Alcotest.(check bool) "landed on the slow device" true (fresh > 8)
   | _ -> Alcotest.fail "expected cross-tier reassignment");
-  Alcotest.(check int) "failover counted" 1 stats.Sim.Stats.swap_failovers;
+  Alcotest.(check int) "failover counted" 1
+    Sim.Stats.(get stats swap_failovers);
   io_ok (St.read_slot t ~slot:(!bound + 1) ~dst);
   Alcotest.(check char) "data survived failover" 'b'
     (Bytes.get dst.Physmem.Page.data 0)
@@ -236,7 +238,7 @@ let test_tier_no_space () =
   | St.No_space { Sim.Fault_plan.severity = Sim.Fault_plan.Permanent; _ } -> ()
   | _ -> Alcotest.fail "expected No_space");
   Alcotest.(check bool) "degradation counted" true
-    (stats.Sim.Stats.swap_full_events >= 1)
+    (Sim.Stats.(get stats swap_full_events) >= 1)
 
 let test_tier_drain_migration () =
   let t, pm, stats = mk_tiers [ spec "fast" 8 0; spec "slow" 16 1 ] in
@@ -267,7 +269,8 @@ let test_tier_drain_migration () =
   Alcotest.(check bool) "drain pending" true (St.drain_pending t);
   St.run_drain t;
   Alcotest.(check bool) "drain complete" false (St.drain_pending t);
-  Alcotest.(check int) "two slots migrated" 2 stats.Sim.Stats.swap_migrations;
+  Alcotest.(check int) "two slots migrated" 2
+    Sim.Stats.(get stats swap_migrations);
   Alcotest.(check int) "dead device owns nothing" 0
     (tier_named t "fast").St.ti_in_use;
   Alcotest.(check (option string)) "no undrained violation" None
@@ -308,7 +311,7 @@ let test_swapcache_basics () =
   let page = tier_page pm 'z' in
   St.cache_put t ~vid:7 ~pgno:3 ~page;
   Alcotest.(check int) "one entry" 1 (St.cache_slots t);
-  Alcotest.(check int) "fill counted" 1 stats.Sim.Stats.swap_cache_fills;
+  Alcotest.(check int) "fill counted" 1 Sim.Stats.(get stats swap_cache_fills);
   Alcotest.(check int) "cached on the fast tier" 1
     (tier_named t "fast").St.ti_cache_slots;
   Alcotest.(check bool) "contains" true (St.cache_contains t ~vid:7 ~pgno:3);
@@ -316,7 +319,7 @@ let test_swapcache_basics () =
   Alcotest.(check bool) "hit" true (St.cache_lookup t ~vid:7 ~pgno:3 ~dst);
   Alcotest.(check char) "served the bytes" 'z' (Bytes.get dst.Physmem.Page.data 9);
   Alcotest.(check bool) "served clean" false dst.Physmem.Page.dirty;
-  Alcotest.(check int) "hit counted" 1 stats.Sim.Stats.swap_cache_hits;
+  Alcotest.(check int) "hit counted" 1 Sim.Stats.(get stats swap_cache_hits);
   Alcotest.(check bool) "miss on other page" false
     (St.cache_lookup t ~vid:7 ~pgno:4 ~dst);
   St.cache_invalidate t ~vid:7 ~pgno:3;
@@ -328,7 +331,8 @@ let test_swapcache_basics () =
   let single, _, sstats = mk_tiers [ spec "only" 32 0 ] in
   St.cache_put single ~vid:1 ~pgno:0 ~page;
   Alcotest.(check int) "single tier: cache inert" 0 (St.cache_slots single);
-  Alcotest.(check int) "single tier: no fill" 0 sstats.Sim.Stats.swap_cache_fills
+  Alcotest.(check int) "single tier: no fill" 0
+    Sim.Stats.(get sstats swap_cache_fills)
 
 (* Graceful degradation, first rung: slot pressure sheds cache entries
    before any allocation fails. *)
@@ -346,7 +350,8 @@ let test_swapcache_shed_under_pressure () =
       (St.alloc_slots t ~n:1 <> None)
   done;
   Alcotest.(check int) "cache fully shed" 0 (St.cache_slots t);
-  Alcotest.(check int) "evictions counted" 3 stats.Sim.Stats.swap_cache_evictions;
+  Alcotest.(check int) "evictions counted" 3
+    Sim.Stats.(get stats swap_cache_evictions);
   Alcotest.(check bool) "then exhaustion" true (St.alloc_slots t ~n:1 = None)
 
 let () =

@@ -630,7 +630,7 @@ let test_tier_event_export () =
     migrations;
   Alcotest.(check int)
     "exported migrations match the counter"
-    mach.Vmiface.Machine.stats.Sim.Stats.swap_migrations
+    Sim.Stats.(get mach.Vmiface.Machine.stats swap_migrations)
     (List.length migrations);
   Alcotest.(check bool) "drain completion exported" true
     (named "drain_complete" <> [])

@@ -28,11 +28,13 @@ let test_pages_persist_after_unmap () =
         (Uvm.Object.resident_count uvn.Uvm.Vnode_pager.obj)
   | None -> Alcotest.fail "object should persist");
   (* Remapping needs no disk I/O. *)
-  let ops0 = (stats sys).Sim.Stats.disk_read_ops in
+  let ops0 = Sim.Stats.(get (stats sys) disk_read_ops) in
   let vpn2 = S.mmap sys vm ~npages:4 ~prot:Pmap.Prot.read ~share:Vt.Shared (Vt.File (vn, 0)) in
   S.access_range sys vm ~vpn:vpn2 ~npages:4 Vt.Read;
-  Alcotest.(check int) "warm remap: zero reads" ops0 (stats sys).Sim.Stats.disk_read_ops;
-  Alcotest.(check bool) "cache hit counted" true ((stats sys).Sim.Stats.obj_cache_hits > 0)
+  Alcotest.(check int) "warm remap: zero reads" ops0
+    Sim.Stats.(get (stats sys) disk_read_ops);
+  Alcotest.(check bool) "cache hit counted" true
+    (Sim.Stats.(get (stats sys) obj_cache_hits) > 0)
 
 let test_vnode_holds_no_extra_ref_when_unmapped () =
   let sys, vm = mk () in
@@ -62,7 +64,7 @@ let test_recycle_hook_frees_pages () =
   let c = Vfs.create_file (vfs sys) ~name:"/c" ~size:4096 in
   Vfs.vrele (vfs sys) c;
   Alcotest.(check bool) "vnode /a recycled" true
-    ((stats sys).Sim.Stats.vnode_recycles > 0);
+    (Sim.Stats.(get (stats sys) vnode_recycles) > 0);
   Alcotest.(check bool) "its file pages were freed" true
     (Physmem.free_count physmem >= free0 + 4);
   Alcotest.(check bool) "vm_private cleared" true

@@ -27,11 +27,11 @@ let test_zero_fill_read_then_write () =
   let sys, vm = mk () in
   let vpn = S.mmap sys vm ~npages:1 ~prot:Pmap.Prot.rw ~share:Vt.Private Vt.Zero in
   S.touch sys vm ~vpn Vt.Read;
-  let f1 = (stats sys).Sim.Stats.faults in
+  let f1 = Sim.Stats.(get (stats sys) faults) in
   (* Fresh zero anon has refs=1: the read fault maps it writable, so the
      subsequent write takes no second fault. *)
   S.touch sys vm ~vpn Vt.Write;
-  Alcotest.(check int) "no second fault" f1 (stats sys).Sim.Stats.faults
+  Alcotest.(check int) "no second fault" f1 Sim.Stats.(get (stats sys) faults)
 
 let test_file_shared_read () =
   let sys, vm = mk () in
@@ -58,7 +58,8 @@ let test_file_private_write_isolated () =
   S.write_bytes sys vm ~addr:(vpn * 4096) (Bytes.of_string "PRIV");
   S.msync sys vm ~vpn ~npages:2;
   Alcotest.(check char) "file untouched" orig (Bytes.get vn.Vfs.Vnode.data 0);
-  Alcotest.(check int) "promoted via one copy" 1 (stats sys).Sim.Stats.cow_copies;
+  Alcotest.(check int) "promoted via one copy" 1
+    Sim.Stats.(get (stats sys) cow_copies);
   (* A second process mapping the file sees the original data. *)
   let vm2 = S.new_vmspace sys in
   let vpn2 = S.mmap sys vm2 ~npages:2 ~prot:Pmap.Prot.read ~share:Vt.Shared (Vt.File (vn, 0)) in
@@ -85,17 +86,18 @@ let test_fault_ahead_maps_residents () =
   let warm = S.new_vmspace sys in
   let wvpn = S.mmap sys warm ~npages:32 ~prot:Pmap.Prot.read ~share:Vt.Shared (Vt.File (vn, 0)) in
   S.access_range sys warm ~vpn:wvpn ~npages:32 Vt.Read;
-  let f0 = (stats sys).Sim.Stats.faults in
-  let fa0 = (stats sys).Sim.Stats.fault_ahead_mapped in
+  let f0 = Sim.Stats.(get (stats sys) faults) in
+  let fa0 = Sim.Stats.(get (stats sys) fault_ahead_mapped) in
   S.touch sys vm ~vpn:(vpn + 10) Vt.Read;
-  Alcotest.(check int) "one fault" (f0 + 1) (stats sys).Sim.Stats.faults;
+  Alcotest.(check int) "one fault" (f0 + 1) Sim.Stats.(get (stats sys) faults);
   (* Default window: 3 behind + 4 ahead, all resident. *)
   Alcotest.(check int) "seven neighbours mapped" (fa0 + 7)
-    (stats sys).Sim.Stats.fault_ahead_mapped;
+    Sim.Stats.(get (stats sys) fault_ahead_mapped);
   (* Accessing a neighbour takes no fault now. *)
   S.touch sys vm ~vpn:(vpn + 11) Vt.Read;
   S.touch sys vm ~vpn:(vpn + 8) Vt.Read;
-  Alcotest.(check int) "neighbours pre-mapped" (f0 + 1) (stats sys).Sim.Stats.faults
+  Alcotest.(check int) "neighbours pre-mapped" (f0 + 1)
+    Sim.Stats.(get (stats sys) faults)
 
 let test_madvise_random_disables_fault_ahead () =
   let sys, vm = mk () in
@@ -105,28 +107,30 @@ let test_madvise_random_disables_fault_ahead () =
   let wvpn = S.mmap sys warm ~npages:16 ~prot:Pmap.Prot.read ~share:Vt.Shared (Vt.File (vn, 0)) in
   S.access_range sys warm ~vpn:wvpn ~npages:16 Vt.Read;
   S.madvise sys vm ~vpn ~npages:16 Vt.Adv_random;
-  let fa0 = (stats sys).Sim.Stats.fault_ahead_mapped in
+  let fa0 = Sim.Stats.(get (stats sys) fault_ahead_mapped) in
   S.touch sys vm ~vpn:(vpn + 5) Vt.Read;
   Alcotest.(check int) "no fault-ahead under Adv_random" fa0
-    (stats sys).Sim.Stats.fault_ahead_mapped
+    Sim.Stats.(get (stats sys) fault_ahead_mapped)
 
 let test_fault_ahead_never_io () =
   let sys, vm = mk () in
   let vn = Vfs.create_file (vfs sys) ~name:"/cold" ~size:(64 * 4096) in
   let vpn = S.mmap sys vm ~npages:64 ~prot:Pmap.Prot.read ~share:Vt.Shared (Vt.File (vn, 0)) in
-  let ops0 = (stats sys).Sim.Stats.disk_read_ops in
+  let ops0 = Sim.Stats.(get (stats sys) disk_read_ops) in
   S.touch sys vm ~vpn Vt.Read;
   (* One clustered read for the miss; fault-ahead must not add I/O. *)
-  Alcotest.(check int) "single read op" (ops0 + 1) (stats sys).Sim.Stats.disk_read_ops
+  Alcotest.(check int) "single read op" (ops0 + 1)
+    Sim.Stats.(get (stats sys) disk_read_ops)
 
 let test_cluster_read () =
   let sys, vm = mk () in
   let vn = Vfs.create_file (vfs sys) ~name:"/clust" ~size:(16 * 4096) in
   let vpn = S.mmap sys vm ~npages:16 ~prot:Pmap.Prot.read ~share:Vt.Shared (Vt.File (vn, 0)) in
-  let pr0 = (stats sys).Sim.Stats.disk_pages_read in
+  let pr0 = Sim.Stats.(get (stats sys) disk_pages_read) in
   S.touch sys vm ~vpn Vt.Read;
   (* io_cluster (default 4) pages come in on one op. *)
-  Alcotest.(check int) "cluster of 4" (pr0 + 4) (stats sys).Sim.Stats.disk_pages_read
+  Alcotest.(check int) "cluster of 4" (pr0 + 4)
+    Sim.Stats.(get (stats sys) disk_pages_read)
 
 let test_wire_fault_resolves_cow () =
   let sys, vm = mk () in

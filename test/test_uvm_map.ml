@@ -86,13 +86,13 @@ let test_clip_preserves_amap_offsets () =
 let test_unmap_partial () =
   let sys, map = mk () in
   ignore (insert map ~spage:0 ~npages:10);
-  let before = (Uvm.State.stats sys).Sim.Stats.map_entries_freed in
+  let before = Sim.Stats.(get (Uvm.State.stats sys) map_entries_freed) in
   Uvm.Map.unmap map ~spage:2 ~npages:4;
   Alcotest.(check int) "two remain" 2 (Uvm.Map.entry_count map);
   Alcotest.(check bool) "hole unmapped" true (Uvm.Map.lookup map ~vpn:3 = None);
   Alcotest.(check bool) "head still there" true (Uvm.Map.lookup map ~vpn:1 <> None);
   Alcotest.(check int) "freed accounted" (before + 1)
-    (Uvm.State.stats sys).Sim.Stats.map_entries_freed;
+    Sim.Stats.(get (Uvm.State.stats sys) map_entries_freed);
   check_ok map
 
 let test_two_phase_unmap_lock_hold () =
@@ -104,9 +104,9 @@ let test_two_phase_unmap_lock_hold () =
   let obj = Uvm.Vnode_pager.attach sys vn in
   ignore (insert map ~spage:0 ~npages:10 ~obj ~cow:false ~needs_copy:false);
   let stats = Uvm.State.stats sys in
-  let held_before = stats.Sim.Stats.map_lock_held_us in
+  let held_before = Sim.Stats.(get_us stats map_lock_held_us) in
   Uvm.Map.unmap map ~spage:0 ~npages:10;
-  let held = stats.Sim.Stats.map_lock_held_us -. held_before in
+  let held = Sim.Stats.(get_us stats map_lock_held_us) -. held_before in
   Alcotest.(check bool) "short hold" true (held < 50.0);
   Alcotest.(check int) "object detached" 0 obj.Uvm.Object.refs
 

@@ -66,7 +66,8 @@ let test_lru_and_recycle () =
   let c = Vfs.create_file vfs ~name:"/c" ~size:256 in
   Alcotest.(check (list string)) "LRU recycled first" [ "/a" ] !recycled;
   Alcotest.(check bool) "a out of core" false a.Vfs.Vnode.incore;
-  Alcotest.(check int) "recycles counted" 1 stats.Sim.Stats.vnode_recycles;
+  Alcotest.(check int) "recycles counted" 1
+    Sim.Stats.(get stats vnode_recycles);
   (* Looking /a up again brings it back in core, recycling /b. *)
   let a2 = Vfs.lookup vfs ~name:"/a" in
   Alcotest.(check bool) "back in core" true a2.Vfs.Vnode.incore;
