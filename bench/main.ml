@@ -556,6 +556,49 @@ let export_run export () =
   Buffer.clear export_buf;
   export export_buf [ Lazy.force export_source ]
 
+(* Per-layer: pmap operations on one standalone address space holding
+   1 000 translations (vpns 16..1015, spanning two 512-slot leaves) over
+   frames of a standalone physmem.  [enter+remove_one] maps and unmaps
+   one page outside them; [restrict_range-8p] write-protects 8 of them;
+   [fill+destroy] drops a second space of 1 000 translations, re-entering
+   them first, since a destroyed space has nothing left to drop.  Built
+   on first use, after the paper's experiments, like [export_source]. *)
+let pmap_source =
+  lazy
+    (let clock = Sim.Simclock.create () in
+     let stats = Sim.Stats.create () in
+     let costs = Sim.Cost_model.default in
+     let pm = Physmem.create ~npages:1024 ~clock ~costs ~stats () in
+     let ctx = Pmap.create_ctx ~clock ~costs ~stats () in
+     let frames =
+       Array.init 1000 (fun _ ->
+           Physmem.alloc pm ~owner:Physmem.Page.No_owner ~offset:0 ())
+     in
+     let fill pmap =
+       Array.iteri
+         (fun i page ->
+           Pmap.enter pmap ~vpn:(16 + i) ~page ~prot:Pmap.Prot.rw ~wired:false)
+         frames
+     in
+     let space = Pmap.create ctx in
+     fill space;
+     (ctx, frames, space, fill))
+
+let pmap_enter_remove () =
+  let _, frames, space, _ = Lazy.force pmap_source in
+  Pmap.enter space ~vpn:2000 ~page:frames.(0) ~prot:Pmap.Prot.rw ~wired:false;
+  Pmap.remove_one space ~vpn:2000
+
+let pmap_restrict_8 () =
+  let _, _, space, _ = Lazy.force pmap_source in
+  Pmap.restrict_range space ~lo:500 ~hi:508 ~prot:Pmap.Prot.read
+
+let pmap_fill_destroy () =
+  let ctx, _, _, fill = Lazy.force pmap_source in
+  let space = Pmap.create ctx in
+  fill space;
+  Pmap.destroy space
+
 let bechamel_tests =
   let open Bechamel in
   Test.make_grouped ~name:"uvm-repro"
@@ -610,6 +653,12 @@ let bechamel_tests =
                (export_run (fun buf srcs ->
                     Sim.Trace_export.lockstat_json buf srcs)));
         ];
+      Test.make_grouped ~name:"pmap.ops"
+        [
+          Test.make ~name:"enter+remove_one" (Staged.stage pmap_enter_remove);
+          Test.make ~name:"restrict_range-8p" (Staged.stage pmap_restrict_8);
+          Test.make ~name:"fill+destroy" (Staged.stage pmap_fill_destroy);
+        ];
       Test.make_grouped ~name:"sec7.datamove-64p"
         [
           Test.make ~name:"loan" (Staged.stage loan_64);
@@ -621,6 +670,7 @@ let run_bechamel () =
   let open Bechamel in
   let open Toolkit in
   ignore (Lazy.force export_source);
+  ignore (Lazy.force pmap_source);
   Experiments.Report.title
     "Bechamel: wall-clock cost of the simulator itself (ns per run)";
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.2) ~kde:None () in

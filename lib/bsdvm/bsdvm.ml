@@ -626,19 +626,16 @@ module Sys = struct
     in
     Hashtbl.iter
       (fun _ vm ->
-        let entries = Vm_map.entries vm.map in
-        List.iter
-          (fun (vpn, (pte : Pmap.pte)) ->
+        Check.walk_translations
+          ~spage:(fun (e : Vm_map.entry) -> e.Vm_map.spage)
+          ~epage:(fun (e : Vm_map.entry) -> e.Vm_map.epage)
+          (Vm_map.entries vm.map) vm.pmap
+          (fun vpn (pte : Pmap.pte) entry ->
             let fail invariant detail =
               Check.fail ~system:name ~subsys:Check.Pmap ~invariant
                 (Printf.sprintf "vmspace %d vpn %d: %s" vm.vid vpn detail)
             in
-            match
-              List.find_opt
-                (fun (e : Vm_map.entry) ->
-                  e.Vm_map.spage <= vpn && vpn < e.Vm_map.epage)
-                entries
-            with
+            match entry with
             | None -> fail "pmap_unmapped" "translation outside any map entry"
             | Some e -> (
                 if not (Pmap.Prot.subsumes e.Vm_map.prot pte.Pmap.prot) then
@@ -658,8 +655,7 @@ module Sys = struct
                         fail "pmap_stale"
                           (Printf.sprintf
                              "maps frame %d but the chain holds no resident page"
-                             pte.Pmap.page.Physmem.Page.id))))
-          (Pmap.translations vm.pmap))
+                             pte.Pmap.page.Physmem.Page.id)))))
       sys.vmspaces
 
   let audit sys =

@@ -282,6 +282,26 @@ let check_loans ~system pm ~claims =
              | None -> "")))
     pm
 
+(* -- translation walk ---------------------------------------------------- *)
+
+let walk_translations ~spage ~epage entries pmap f =
+  (* Both sides ascend, so an entry ending at or before [vpn] can cover no
+     later translation either. *)
+  let rec skip vpn = function
+    | e :: rest when epage e <= vpn -> skip vpn rest
+    | entries -> entries
+  in
+  let rec go entries = function
+    | [] -> ()
+    | (vpn, pte) :: rest ->
+        let entries = skip vpn entries in
+        (match entries with
+        | e :: _ when spage e <= vpn -> f vpn pte (Some e)
+        | _ -> f vpn pte None);
+        go entries rest
+  in
+  go entries (Pmap.translations pmap)
+
 (* -- pv-list symmetry ---------------------------------------------------- *)
 
 let check_pv ~system ctx pm =

@@ -90,6 +90,20 @@ val check_pv : system:string -> Pmap.ctx -> Physmem.t -> unit
     live translation of that very page, and no free page may have
     translations. *)
 
+val walk_translations :
+  spage:('e -> int) ->
+  epage:('e -> int) ->
+  'e list ->
+  Pmap.t ->
+  (int -> Pmap.pte -> 'e option -> unit) ->
+  unit
+(** [walk_translations ~spage ~epage entries pmap f] calls [f vpn pte
+    entry] for each of [pmap]'s translations in vpn order, where [entry]
+    is the first of [entries] with [spage e <= vpn < epage e].  [entries]
+    must be sorted by [spage] (a map's entry list is).  One merge of the
+    two lists: O(translations + entries).  The kernels' pmap audits walk
+    through it. *)
+
 val check_smp : system:string -> Physmem.t -> unit
 (** Sharding audit (DESIGN.md §16): colored free queues plus per-CPU
     cache holdings sum to the global free count, every page on a color

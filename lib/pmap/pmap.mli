@@ -44,7 +44,8 @@ val destroy : t -> unit
 
 val enter :
   t -> vpn:int -> page:Physmem.Page.t -> prot:Prot.t -> wired:bool -> unit
-(** Install (or replace) the translation for virtual page [vpn]. *)
+(** Install (or replace) the translation for virtual page [vpn].
+    @raise Invalid_argument if [vpn] is negative. *)
 
 val remove_one : t -> vpn:int -> unit
 (** Remove the translation for [vpn] if present. *)

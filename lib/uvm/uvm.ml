@@ -685,19 +685,16 @@ module Sys = struct
   let audit_pmap sys =
     Hashtbl.iter
       (fun _ vm ->
-        let entries = Uvm_map.entries vm.map in
-        List.iter
-          (fun (vpn, (pte : Pmap.pte)) ->
+        Check.walk_translations
+          ~spage:(fun (e : Uvm_map.entry) -> e.Uvm_map.spage)
+          ~epage:(fun (e : Uvm_map.entry) -> e.Uvm_map.epage)
+          (Uvm_map.entries vm.map) vm.pmap
+          (fun vpn (pte : Pmap.pte) entry ->
             let fail invariant detail =
               Check.fail ~system:name ~subsys:Check.Pmap ~invariant
                 (Printf.sprintf "vmspace %d vpn %d: %s" vm.vid vpn detail)
             in
-            match
-              List.find_opt
-                (fun (e : Uvm_map.entry) ->
-                  e.Uvm_map.spage <= vpn && vpn < e.Uvm_map.epage)
-                entries
-            with
+            match entry with
             | None -> fail "pmap_unmapped" "translation outside any map entry"
             | Some e -> (
                 if not (Pmap.Prot.subsumes e.Uvm_map.prot pte.Pmap.prot) then
@@ -743,8 +740,7 @@ module Sys = struct
                                (e.Uvm_map.objoff + d))
                     | None ->
                         fail "pmap_unbacked"
-                          "translation for a zero-fill range with no anon")))
-          (Pmap.translations vm.pmap))
+                          "translation for a zero-fill range with no anon"))))
       sys.vmspaces
 
   (* Loan census: every page's loan_count must equal its live borrowed

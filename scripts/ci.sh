@@ -20,13 +20,16 @@ fi
 dune runtest
 
 # Simulated-behaviour gate: each perfbench workload's digest of the final
-# simulated state (seed 1) must match the committed values.  A change
-# that means to alter simulated behaviour regenerates
-# scripts/perfbench_digests.txt with these same commands and says so.
+# simulated state, at seeds 1 and 2, must match the committed values
+# (each line is prefixed with its seed).  A change that means to alter
+# simulated behaviour regenerates scripts/perfbench_digests.txt with
+# these same commands and says so.
 mkdir -p artifacts
-for w in fork-cow paging smp-observed; do
-  ./_build/default/perfbench/uvmbench.exe --workload "$w" --seed 1 \
-    --seconds 1 --trace 0 | grep '^digest '
+for s in 1 2; do
+  for w in fork-cow paging smp-observed; do
+    ./_build/default/perfbench/uvmbench.exe --workload "$w" --seed "$s" \
+      --seconds 1 --trace 0 | grep '^digest ' | sed "s/^/seed $s /"
+  done
 done > artifacts/perfbench_digests.txt
 diff -u scripts/perfbench_digests.txt artifacts/perfbench_digests.txt || {
   echo 'ci: perfbench digests changed: simulated behaviour differs' >&2
